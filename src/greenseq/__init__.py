@@ -76,6 +76,7 @@ from .stability import (
     SplicedPath,
     WallMembership,
     candidate_modules,
+    classify,
     equivalence_mismatches,
     fuzz_quiver,
     in_wall,

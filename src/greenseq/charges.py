@@ -33,10 +33,13 @@ RationalLike = Fraction | int | str
 def as_fraction(v: RationalLike) -> Fraction:
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise InvalidCharge(f"not a rational value: {v!r}")
 
 
@@ -57,8 +60,8 @@ class IntContext:
         n = q.n
         ya = [0] * (span + 1)
         xb = [0] * (span + 1)
-        arow = [int(v * la) for v in charge.a]
-        brow = [int(v * lb) for v in charge.b]
+        arow = [v.numerator * (la // v.denominator) for v in charge.a]
+        brow = [v.numerator * (lb // v.denominator) for v in charge.b]
         for t in range(1, span + 1):
             ya[t] = ya[t - 1] + arow[(t - 1) % n]
             xb[t] = xb[t - 1] + brow[(t - 1) % n]
@@ -68,11 +71,6 @@ class IntContext:
         self.lb = lb
         self.span = span
         self.sig = tuple(q.sign(t) for t in range(span + 1))
-
-    def slope(self, i: int, j: int) -> Fraction:
-        num = Fraction(self.ya[j] - self.ya[i], self.la)
-        den = Fraction(self.xb[j] - self.xb[i], self.lb)
-        return num / den
 
 
 @dataclass(frozen=True)
@@ -110,6 +108,20 @@ class CentralCharge:
         # is the 4n finiteness scan starting below n).
         span = self.quiver.n if self.quiver.kind is QuiverKind.FINITE_A else 5 * self.quiver.n
         return IntContext(self, span)
+
+    def _widen_ctx(self, t: int) -> None:
+        """Rebuild the integer context wider if index t lies beyond its span
+        (long exceptional affine modules do)."""
+        if t > self._ctx.span:
+            self.__dict__["_ctx"] = IntContext(self, 2 * t)
+
+    @cached_property
+    def _classes(self) -> tuple:
+        """Every semistable candidate as (module, slope, is_stable), from
+        one sweep per charge; see :func:`greenseq.stability.classify`."""
+        from .stability import classify  # stability imports this module
+
+        return classify(self)
 
     def _cum(self, table, t: int) -> Fraction:
         n = self.quiver.n
@@ -162,6 +174,8 @@ def make_charge(q: Quiver, a, b) -> CentralCharge:
 
 
 def charge_from_json(q: Quiver, data: dict) -> CentralCharge:
+    if not (isinstance(data, dict) and all(isinstance(data.get(k), list) for k in "ab")):
+        raise InvalidCharge(f'a charge is an object {{"a": [...], "b": [...]}}, got {data!r}')
     return make_charge(q, data["a"], data["b"])
 
 

@@ -12,9 +12,10 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 
 from . import __version__
-from .charges import charge_from_json, slope
+from .charges import charge_from_json
 from .collapse import collapse, project_set
 from .errors import GreenseqError
 from .linearity import (
@@ -67,12 +68,12 @@ def cmd_quiver(args) -> int:
 def cmd_stable_set(args) -> int:
     q = parse_quiver(args.quiver)
     Z = _charge_arg(q, args.charge)
-    mods = modules_sorted(stable_set(Z, include_semistable=args.semistable))
+    rows = [(m, s) for m, s, stable in Z._classes if stable or args.semistable]
     payload = {
-        "modules": [{"i": m.i, "j": m.j, "slope": str(slope(Z, m))} for m in mods],
+        "modules": [{"i": m.i, "j": m.j, "slope": str(s)} for m, s in rows],
         "ordered": False,
     }
-    _emit(args, [_module_row(m, slope(Z, m)) for m in mods], payload)
+    _emit(args, [_module_row(m, s) for m, s in rows], payload)
     return 0
 
 
@@ -229,7 +230,9 @@ def cmd_verify(args) -> int:
     return 0 if not mismatches else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and kept (parsing never mutates it)."""
     ap = argparse.ArgumentParser(prog="greenseq",
                                  description="stability conditions and maximal green sequences")
     ap.add_argument("--version", action="version", version=f"greenseq {__version__}")

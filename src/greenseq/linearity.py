@@ -8,9 +8,9 @@ Otherwise the four indices breaking both conditions form the
 nonlinearity witness.
 
 The constructors below never return an unverified charge: each one
-recomputes the stable set with the oracle, cross-checks the chord and
-wire criteria on every member, and raises if the target set is not hit
-exactly.
+recomputes the stable set (the sweep of :func:`stability.classify`),
+cross-checks the chord and wire criteria on every member, and raises if
+the target set is not hit exactly.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charges import CentralCharge, is_finite, standard_charge
-from .errors import InvalidQuiver, VerificationFailed, WitnessSearchFailed
+from .charges import CentralCharge, standard_charge
+from .errors import InfiniteStableSet, InvalidQuiver, VerificationFailed, WitnessSearchFailed
 from .maxsets import build_Sk, build_Skl, valid_pairs
 from .quivers import MINUS, PLUS, Quiver, QuiverKind, affine_a
 from .stability import (
@@ -27,6 +27,8 @@ from .stability import (
     candidate_modules,
     is_stable_chord,
     is_stable_wire,
+    modules_sorted,
+    spliced_halves,
     spliced_stable_set,
     stable_set,
 )
@@ -101,8 +103,8 @@ def is_linear_set(q: Quiver, k: int, l: int) -> LinearityVerdict:
 def _verified(q: Quiver, Z: CentralCharge, target, err: type[Exception], what: str):
     got = stable_set(Z)
     if got != target:
-        missing = sorted(target - got, key=lambda m: (m.i, m.j))
-        extra = sorted(got - target, key=lambda m: (m.i, m.j))
+        missing = modules_sorted(target - got)
+        extra = modules_sorted(got - target)
         raise err(f"{what}: stable set mismatch (missing {missing}, extra {extra})")
     for m in got:
         if not (is_stable_chord(Z, m) and is_stable_wire(Z, m)):
@@ -251,10 +253,8 @@ def witness_linear(q: Quiver, k: int, l: int) -> CentralCharge:
         else:
             Z = _cond2_charge(q, k, l, eps)
         try:
-            if not is_finite(Z):
-                raise VerificationFailed("template charge is not finite")
             return _verified(q, Z, target, VerificationFailed, f"S({k},{l}) witness")
-        except VerificationFailed as err:
+        except (VerificationFailed, InfiniteStableSet) as err:
             last_err = err
     raise WitnessSearchFailed(
         f"linear witness for S({k},{l}) on {q.label()} failed at every eps: {last_err}"
@@ -315,24 +315,17 @@ def witness_spliced(q: Quiver, k: int, l: int) -> SplicedPath:
     )
     got = spliced_stable_set(path)
     if got != target:
-        missing = sorted(target - got, key=lambda m: (m.i, m.j))
-        extra = sorted(got - target, key=lambda m: (m.i, m.j))
+        missing = modules_sorted(target - got)
+        extra = modules_sorted(got - target)
         raise WitnessSearchFailed(
             f"spliced witness for S({k},{l}) on {q.label()} missed: "
             f"missing {missing}, extra {extra}"
         )
-    for m in got:
-        Z = path.z if _slope_sign(path.z, m) < 0 else path.z_prime
-        if not (is_stable_chord(Z, m) and is_stable_wire(Z, m)):
-            raise WitnessSearchFailed(f"criteria disagree on {m!r}")
+    for Z, half in zip((path.z, path.z_prime), spliced_halves(path)):
+        for m in half:
+            if not (is_stable_chord(Z, m) and is_stable_wire(Z, m)):
+                raise WitnessSearchFailed(f"criteria disagree on {m!r}")
     return path
-
-
-def _slope_sign(Z: CentralCharge, m) -> int:
-    from .charges import slope
-
-    s = slope(Z, m)
-    return (s > 0) - (s < 0)
 
 
 def linear_pairs(q: Quiver) -> list[tuple[int, int, LinearityVerdict]]:

@@ -13,9 +13,17 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .charges import CentralCharge, slope
+from .charges import CentralCharge, as_fraction
+from .errors import InfiniteStableSet
 from .quivers import MINUS, PLUS, QuiverKind, StringModule, canonicalize
-from .stability import SplicedPath, candidate_modules, is_stable_oracle, spliced_stable_set
+from .stability import (
+    SplicedPath,
+    candidate_modules,
+    is_stable_oracle,
+    modules_sorted,
+    spliced_halves,
+    stable_set,
+)
 
 F = Fraction
 
@@ -103,15 +111,9 @@ def _chord_body(Z: CentralCharge, stable_of, spec: RenderSpec, dx: Fraction) -> 
     style = spec.style
     if spec.window is not None:
         lo, hi = int(spec.window[0]), int(spec.window[1])
-        candidates = [
-            (i, j) for i in range(lo, hi) for j in range(i + 1, hi + 1)
+        mods = [
+            StringModule(q, i, j) for i in range(lo, hi) for j in range(i + 1, hi + 1)
         ]
-        mods = []
-        for i, j in candidates:
-            try:
-                mods.append(StringModule(q, i, j))
-            except Exception:  # pragma: no cover - StringModule has no checks
-                continue
         mods = [m for m in mods if q.kind is not QuiverKind.AFFINE_A or m.is_exceptional]
     else:
         mods = candidate_modules(q)
@@ -126,7 +128,7 @@ def _chord_body(Z: CentralCharge, stable_of, spec: RenderSpec, dx: Fraction) -> 
 
     body = []
     # candidate chords: solid when stable, dashed otherwise
-    for m in sorted(mods, key=lambda m: (m.i, m.j)):
+    for m in modules_sorted(mods):
         (x1, y1), (x2, y2) = verts[m.i], verts[m.j]
         a = to_view(x1 + dx, y1)
         b = to_view(x2 + dx, y2)
@@ -170,42 +172,39 @@ def render_chord_svg(target, spec: RenderSpec | None = None) -> str:
     """Chord diagram; for a spliced path the two polygons sit side by side."""
     spec = spec or RenderSpec(mode="chord")
     if isinstance(target, SplicedPath):
-        members = spliced_stable_set(target)
-
-        def left(m):
-            return m in members and slope(target.z, m) < 0
-
-        def right(m):
-            return m in members and slope(target.z_prime, m) > 0
-
+        neg, pos = spliced_halves(target)
         width = target.z.x(2 * target.z.quiver.n) + 20
-        body = _chord_body(target.z, left, spec, F(0))
-        body += _chord_body(target.z_prime, right, spec, width)
+        body = _chord_body(target.z, neg.__contains__, spec, F(0))
+        body += _chord_body(target.z_prime, pos.__contains__, spec, width)
         return _doc(body)
-    return _doc(_chord_body(target, lambda m: is_stable_oracle(target, m), spec, F(0)))
+    try:
+        stable_of = stable_set(target).__contains__
+    except InfiniteStableSet:
+        # no finite stable set to look up: decide each drawn chord alone
+        def stable_of(m):
+            return is_stable_oracle(target, m)
+
+    return _doc(_chord_body(target, stable_of, spec, F(0)))
 
 
-def _wire_body(charges, stable_members, spec: RenderSpec) -> list[str]:
-    first = charges[0][1]
-    q = first.quiver
+def _wire_body(z, z_pos, stable_members, spec: RenderSpec) -> list[str]:
+    """Wires of z; a spliced path passes z_pos and follows it for t > 0."""
+    q = z.quiver
     style = spec.style
     slopes = [s for _, _, s in stable_members]
     if spec.window is not None:
-        t_lo, t_hi = as_f(spec.window[0]), as_f(spec.window[1])
+        t_lo, t_hi = as_fraction(spec.window[0]), as_fraction(spec.window[1])
     elif slopes:
         t_lo, t_hi = min(slopes) - 1, max(slopes) + 1
     else:
         t_lo, t_hi = F(-1), F(1)
-    breaks = sorted({t_lo, t_hi} | ({F(0)} if len(charges) > 1 else set()))
+    breaks = sorted({t_lo, t_hi} | ({F(0)} if z_pos is not None else set()))
 
     idx_hi = max((m.j for m, _, _ in stable_members), default=q.n)
     idx_hi = max(idx_hi, q.n)
 
     def f(i: int, t: Fraction) -> Fraction:
-        for bound, Z in charges:
-            if t <= bound:
-                return Z.wire_value(i, t)
-        return charges[-1][1].wire_value(i, t)
+        return (z if z_pos is None or t <= 0 else z_pos).wire_value(i, t)
 
     canvas = _Canvas()
     for i in range(idx_hi + 1):
@@ -239,24 +238,13 @@ def _wire_body(charges, stable_members, spec: RenderSpec) -> list[str]:
     return body
 
 
-def as_f(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
-
-
 def render_wire_svg(target, spec: RenderSpec | None = None) -> str:
     """Wire diagram with stable crossings marked; splices kink at slope 0."""
     spec = spec or RenderSpec(mode="wire")
     if isinstance(target, SplicedPath):
-        members = []
-        for m in spliced_stable_set(target):
-            s = slope(target.z, m)
-            if s < 0:
-                members.append((m, target.z, s))
-            else:
-                members.append((m, target.z_prime, slope(target.z_prime, m)))
-        charges = [(F(0), target.z), (F(10) ** 9, target.z_prime)]
-        return _doc(_wire_body(charges, members, spec))
-    from .stability import stable_set
-
-    members = [(m, target, slope(target, m)) for m in stable_set(target)]
-    return _doc(_wire_body([(F(10) ** 9, target)], members, spec))
+        neg, pos = spliced_halves(target)
+        members = [(m, target.z, s) for m, s in neg.items()]
+        members += [(m, target.z_prime, s) for m, s in pos.items()]
+        return _doc(_wire_body(target.z, target.z_prime, members, spec))
+    members = [(m, target, s) for m, s, stable in target._classes if stable]
+    return _doc(_wire_body(target, None, members, spec))

@@ -12,6 +12,9 @@ under a charge Z:
 
 All three are implemented on the exact integer context of the charge and
 are exposed separately; the fuzz entry point checks that they agree.
+Stable sets, green sequences and splices do not run them: they read
+:func:`classify`, one integer sweep per charge that decides stability,
+semistability and the slope of every candidate at once.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .charges import CentralCharge, as_fraction, is_finite, slope
+from .charges import CentralCharge, as_fraction, is_finite
 from .errors import InfiniteStableSet, NonGeneric, SpliceInvalid
 from .quivers import (
     MINUS,
@@ -29,6 +32,7 @@ from .quivers import (
     QuiverKind,
     StringModule,
     _module,
+    canonicalize,
     indecomposable_submodules,
 )
 from .rng import XorShift64Star
@@ -97,14 +101,20 @@ def _oracle(Z: CentralCharge, i: int, j: int, strict: bool) -> bool:
     return True
 
 
+def _criterion(kernel, Z: CentralCharge, m: StringModule, strict: bool) -> bool:
+    m = canonicalize(Z.quiver, m)  # the kernels index the context from 0
+    Z._widen_ctx(m.j)
+    return kernel(Z, m.i, m.j, strict)
+
+
 def is_semistable_oracle(Z: CentralCharge, m: StringModule) -> bool:
     """Every proper indecomposable submodule has slope >= slope(m)."""
-    return _oracle(Z, m.i, m.j, strict=False)
+    return _criterion(_oracle, Z, m, strict=False)
 
 
 def is_stable_oracle(Z: CentralCharge, m: StringModule) -> bool:
     """Every proper indecomposable submodule has slope > slope(m)."""
-    return _oracle(Z, m.i, m.j, strict=True)
+    return _criterion(_oracle, Z, m, strict=True)
 
 
 def _chord(Z: CentralCharge, i: int, j: int, strict: bool) -> bool:
@@ -125,22 +135,23 @@ def _chord(Z: CentralCharge, i: int, j: int, strict: bool) -> bool:
 
 def is_semistable_chord(Z: CentralCharge, m: StringModule) -> bool:
     """Intermediate positive vertices on/above the chord, negative on/below."""
-    return _chord(Z, m.i, m.j, strict=False)
+    return _criterion(_chord, Z, m, strict=False)
 
 
 def is_stable_chord(Z: CentralCharge, m: StringModule) -> bool:
     """Semistable with no dual vertex on the open chord (strict sides)."""
-    return _chord(Z, m.i, m.j, strict=True)
+    return _criterion(_chord, Z, m, strict=True)
 
 
 def _wire(Z: CentralCharge, i: int, j: int, strict: bool) -> bool:
     ctx = Z._ctx
     ya, xb, sig = ctx.ya, ctx.xb, ctx.sig
-    t = ctx.slope(i, j)  # reduced crossing abscissa of wires i and j
-    t_num, t_den = t.numerator, t.denominator
+    yi, xi = ya[i], xb[i]
+    # crossing abscissa t = t_num / t_den of wires i and j, unreduced; t_den > 0
+    t_num = (ya[j] - yi) * ctx.lb
+    t_den = (xb[j] - xi) * ctx.la
     la_num = t_num * ctx.la
     lb_den = t_den * ctx.lb
-    yi, xi = ya[i], xb[i]
     for k in range(i + 1, j):
         # sign of f_k(t) - f_i(t) after clearing the two scale factors
         s = (ya[k] - yi) * lb_den - la_num * (xb[k] - xi)
@@ -153,11 +164,11 @@ def _wire(Z: CentralCharge, i: int, j: int, strict: bool) -> bool:
 
 def is_semistable_wire(Z: CentralCharge, m: StringModule) -> bool:
     """Positive wires pass on/over the crossing of wires i, j; negative under."""
-    return _wire(Z, m.i, m.j, strict=False)
+    return _criterion(_wire, Z, m, strict=False)
 
 
 def is_stable_wire(Z: CentralCharge, m: StringModule) -> bool:
-    return _wire(Z, m.i, m.j, strict=True)
+    return _criterion(_wire, Z, m, strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +203,18 @@ def candidate_modules(q: Quiver) -> list[StringModule]:
     return [_module(q, i, j) for i, j in candidate_pairs(q)]
 
 
-def stable_set(
-    Z: CentralCharge, include_semistable: bool = False
-) -> frozenset[StringModule]:
-    """All stable modules of Z (with the flag: all semistable modules).
+def classify(Z: CentralCharge) -> tuple[tuple[StringModule, Fraction, bool], ...]:
+    """Every semistable candidate of Z as (module, slope, is_stable),
+    sorted by (i, j).  Charges keep the result as ``Z._classes``.
+
+    The chord criterion as a sweep: for fixed i, p_k lies above the chord
+    p_i p_j exactly when slope(p_i p_k) > slope(p_i p_j), so walking j
+    upward it suffices to keep the least slope from p_i to a positive
+    vertex passed so far and the greatest to a negative one.  M(i, j) is
+    semistable iff its slope lies between the two, stable iff strictly;
+    once the two cross, no longer module from that i is semistable.
+    Slopes are integer pairs (dy, dx) with dx > 0, compared by cross
+    multiplication; (1, 0) and (-1, 0) stand for +inf and -inf.
 
     Affine charges must be finite; the scan then only needs lengths
     below 2n.
@@ -203,12 +222,43 @@ def stable_set(
     q = Z.quiver
     if q.kind is QuiverKind.AFFINE_A and not is_finite(Z):
         raise InfiniteStableSet(f"no essential pair for charge {Z!r}")
-    strict = not include_semistable
-    return frozenset(
-        _module(q, i, j)
-        for i, j in candidate_pairs(q)
-        if _oracle(Z, i, j, strict=strict)
-    )
+    ctx = Z._ctx
+    ya, xb, sig, la, lb = ctx.ya, ctx.xb, ctx.sig, ctx.la, ctx.lb
+    out = []
+    left = None
+    for i, j in candidate_pairs(q):
+        if i != left:
+            left, k = i, i + 1
+            yi, xi = ya[i], xb[i]
+            hi_y, hi_x, lo_y, lo_x = 1, 0, -1, 0
+        elif k < 0:
+            continue
+        while k < j:
+            dy, dx = ya[k] - yi, xb[k] - xi
+            if sig[k] == MINUS:
+                if dy * lo_x > lo_y * dx:
+                    lo_y, lo_x = dy, dx
+            elif dy * hi_x < hi_y * dx:
+                hi_y, hi_x = dy, dx
+            k += 1
+        dy, dx = ya[j] - yi, xb[j] - xi
+        above_lo = dy * lo_x - lo_y * dx
+        below_hi = hi_y * dx - dy * hi_x
+        if above_lo >= 0 and below_hi >= 0:
+            # candidate pairs are canonical, so the module needs no checks
+            out.append(
+                (StringModule(q, i, j), Fraction(dy * lb, dx * la), above_lo > 0 and below_hi > 0)
+            )
+        elif lo_y * hi_x > hi_y * lo_x:
+            k = -1  # lo > hi: no longer module from this i is semistable
+    return tuple(out)
+
+
+def stable_set(
+    Z: CentralCharge, include_semistable: bool = False
+) -> frozenset[StringModule]:
+    """All stable modules of Z (with the flag: all semistable modules)."""
+    return frozenset(m for m, _, stable in Z._classes if stable or include_semistable)
 
 
 @dataclass(frozen=True)
@@ -245,11 +295,16 @@ class GreenSequence:
 
 def _sorted_generic(Z: CentralCharge, keep) -> list[tuple[StringModule, Fraction]]:
     """Slope-sort the stable modules, refusing ties and strict semistables."""
-    stable = {m for m in stable_set(Z) if keep(slope(Z, m))}
-    semi = {m for m in stable_set(Z, include_semistable=True) if keep(slope(Z, m))}
-    if semi != stable:
-        raise NonGeneric("strict-semistable", sorted(semi - stable, key=lambda m: (m.i, m.j)))
-    entries = sorted(((m, slope(Z, m)) for m in stable), key=lambda e: (e[1], e[0].i, e[0].j))
+    kept = [(m, s, stable) for m, s, stable in Z._classes if keep(s)]
+    strict = [m for m, _, stable in kept if not stable]
+    if strict:
+        raise NonGeneric("strict-semistable", strict)
+    # floor(s * 2**64) orders like s but compares as a plain int; only
+    # equal floors fall through to comparing the Fractions themselves
+    entries = sorted(
+        ((m, s) for m, s, _ in kept),
+        key=lambda e: ((e[1].numerator << 64) // e[1].denominator, e[1], e[0].i, e[0].j),
+    )
     for (m1, s1), (m2, s2) in zip(entries, entries[1:]):
         if s1 == s2:
             raise NonGeneric("tie", [m1, m2])
@@ -284,9 +339,23 @@ class SplicedPath:
 
 
 def _check_no_slope_zero(Z: CentralCharge, tag: str) -> None:
-    for m in stable_set(Z, include_semistable=True):
-        if slope(Z, m) == 0:
+    for m, s, _ in Z._classes:
+        if s == 0:
             raise SpliceInvalid(f"{tag} has a semistable module of slope 0: {m!r}")
+
+
+def spliced_halves(
+    p: SplicedPath, include_semistable: bool = False
+) -> tuple[dict[StringModule, Fraction], dict[StringModule, Fraction]]:
+    """Stable (with the flag: semistable) modules and their slopes, of
+    negative slope under z and of positive slope under z_prime.  The two
+    charges share the a-vector, so the signs of slopes agree under both."""
+    _check_no_slope_zero(p.z, "first charge")
+    _check_no_slope_zero(p.z_prime, "second charge")
+    return (
+        {m: s for m, s, st in p.z._classes if s < 0 and (st or include_semistable)},
+        {m: s for m, s, st in p.z_prime._classes if s > 0 and (st or include_semistable)},
+    )
 
 
 def spliced_stable_set(
@@ -294,19 +363,8 @@ def spliced_stable_set(
 ) -> frozenset[StringModule]:
     """Union of the negative-slope part of z and the positive-slope part
     of z_prime; both halves must be free of slope-0 semistables."""
-    _check_no_slope_zero(p.z, "first charge")
-    _check_no_slope_zero(p.z_prime, "second charge")
-    neg = {
-        m
-        for m in stable_set(p.z, include_semistable=include_semistable)
-        if slope(p.z, m) < 0
-    }
-    pos = {
-        m
-        for m in stable_set(p.z_prime, include_semistable=include_semistable)
-        if slope(p.z_prime, m) > 0
-    }
-    return frozenset(neg | pos)
+    neg, pos = spliced_halves(p, include_semistable)
+    return frozenset(neg.keys() | pos.keys())
 
 
 def spliced_mgs(p: SplicedPath) -> GreenSequence:

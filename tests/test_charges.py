@@ -34,6 +34,18 @@ class TestMakeCharge:
         Z = gs.make_charge(gs.finite_a("-+"), ["1/2", "3/2", -2], [1, 1, 1])
         assert gs.charge_from_json(Z.quiver, Z.to_json()) == Z
 
+    @pytest.mark.parametrize("value", [True, False, "1/0", "abc", 0.5, None, [1]])
+    def test_rejects_non_rationals(self, value):
+        with pytest.raises(gs.InvalidCharge):
+            gs.make_charge(KRON, [value, 1], [1, 1])
+
+    @pytest.mark.parametrize(
+        "data", [[1, 2], {"a": [1, 2]}, {"b": [1, 1]}, {"a": "12", "b": [1, 1]}, None]
+    )
+    def test_json_needs_object_of_two_lists(self, data):
+        with pytest.raises(gs.InvalidCharge):
+            gs.charge_from_json(KRON, data)
+
 
 class TestSlope:
     def test_kronecker_regular(self):

@@ -64,6 +64,18 @@ class TestBasics:
         assert json.loads(err)["error"] == "infinite-stable-set"
 
 
+class TestChargeValidation:
+    @pytest.mark.parametrize(
+        "charge",
+        ['{"a":[1,2]}', '{"a":["1/0",1],"b":[1,1]}', "[1,2]", '{"a":[true,1],"b":[1,1]}'],
+    )
+    @pytest.mark.parametrize("command", ["stable-set", "mgs"])
+    def test_malformed_charge_is_json_exit1(self, capsys, command, charge):
+        code, out, err = run(capsys, command, "--quiver", "At:+-", "--charge", charge)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "invalid-charge"
+
+
 class TestSubcommands:
     def test_maxsets(self, capsys):
         code, out, _ = run(capsys, "maxsets", "--quiver", "At:++--", "--json")

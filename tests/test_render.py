@@ -1,3 +1,4 @@
+import re
 import xml.etree.ElementTree as ET
 
 import greenseq as gs
@@ -45,6 +46,18 @@ class TestChord:
         svg = gs.render_chord_svg(p)
         assert solid_chords(svg) == 24
         ET.fromstring(svg)
+
+    def test_cycle_window_draws_non_modules_dashed(self):
+        # strings of length >= n are not modules of the truncated cycle;
+        # this charge's chord test would pass M(0,5) and M(5,10)
+        q = gs.cycle_quiver(5)
+        Z = gs.make_charge(q, [3, 4, 2, 1, "-1/3"], ["4/3", 1, "1/3", 2, 4])
+        svg = gs.render_chord_svg(Z, gs.RenderSpec(window=(0, 10)))
+        assert gs.is_stable_chord(Z, gs.StringModule(q, 0, 5))
+        stable = {tuple(map(int, m.split(","))) for m in
+                  re.findall(r'class="chord stable" data-module="([^"]+)"', svg)}
+        assert all(j - i < q.n for i, j in stable)
+        assert {(m.i, m.j) for m in gs.stable_set(Z)} <= stable
 
     def test_solid_equals_stable_set(self):
         q = gs.affine_a("-++--")

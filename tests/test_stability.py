@@ -103,6 +103,30 @@ class TestChordWire:
             assert gs.is_stable_oracle(Z, m) == stable
 
 
+def test_long_affine_module_reaches_past_context():
+    # M(0, 11) on a 2-vertex affine quiver ends beyond the 5n indices the
+    # integer context is first built with
+    Z = gs.make_charge(KRON, [1, -2], [1, 1])
+    m = gs.string_module(KRON, 0, 11)
+    stable = {fn(Z, m) for fn in (gs.is_stable_oracle, gs.is_stable_chord, gs.is_stable_wire)}
+    semi = {fn(Z, m) for fn in
+            (gs.is_semistable_oracle, gs.is_semistable_chord, gs.is_semistable_wire)}
+    # the wall test works on rationals, without the integer context
+    t = gs.slope(Z, m)
+    wall = gs.in_wall([t * bv - av for av, bv in zip(Z.a, Z.b)], m)
+    assert stable == {wall is gs.WallMembership.INTERIOR}
+    assert semi == {wall in (gs.WallMembership.INTERIOR, gs.WallMembership.BOUNDARY)}
+
+
+def test_criteria_canonicalize_cover_translates():
+    q = gs.affine_a("+--")
+    Z = gs.make_charge(q, [1, 5, -2], [1, 1, 2])
+    for i, j in candidate_pairs(q):
+        m = gs.StringModule(q, i - 3, j - 3)  # M(i, j) shifted one period left
+        for fn in (gs.is_stable_oracle, gs.is_semistable_chord, gs.is_semistable_wire):
+            assert fn(Z, m) == fn(Z, _module(q, i, j))
+
+
 class TestStableSet:
     def test_figure1(self):
         got = {(m.i, m.j) for m in gs.stable_set(FIG1)}
@@ -272,6 +296,32 @@ def test_spliced_include_semistable():
     stables = gs.spliced_stable_set(p)
     semis = gs.spliced_stable_set(p, include_semistable=True)
     assert stables <= semis
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_classify_matches_oracle(data):
+    # denominators <= 4 make ties and strictly semistable modules common
+    spec = data.draw(st.sampled_from(
+        ["A:", "A:-", "A:-+", "A:+-+-", "At:+-", "At:++-", "At:-++--", "Dcyc:4", "Dcyc:6"]
+    ))
+    q = gs.parse_quiver(spec)
+    rat = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    pos = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
+    Z = gs.CentralCharge(
+        q, data.draw(st.tuples(*[rat] * q.n)), data.draw(st.tuples(*[pos] * q.n))
+    )
+    if not gs.is_finite(Z):
+        with pytest.raises(gs.InfiniteStableSet):
+            gs.classify(Z)
+        return
+    got = gs.classify(Z)
+    mods = gs.candidate_modules(q)
+    assert [(m.i, m.j) for m, _, _ in got] == sorted((m.i, m.j) for m, _, _ in got)
+    assert {m for m, _, stable in got if stable} == {m for m in mods if gs.is_stable_oracle(Z, m)}
+    assert {m for m, _, _ in got} == {m for m in mods if gs.is_semistable_oracle(Z, m)}
+    assert all(s == gs.slope(Z, m) for m, s, _ in got)
+    assert gs.stable_set(Z, include_semistable=True) == {m for m, _, _ in got}
 
 
 @settings(max_examples=40, deadline=None)
