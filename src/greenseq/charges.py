@@ -70,7 +70,12 @@ class IntContext:
         self.la = la
         self.lb = lb
         self.span = span
-        self.sig = tuple(q.sign(t) for t in range(span + 1))
+        # sig[t] = q.sign(t): 0 at the ends of A_n, else signs[(t - 1) % n]
+        w = q.signs
+        if q.kind is QuiverKind.FINITE_A:
+            self.sig = ((0,) + w + (0,))[: span + 1]
+        else:
+            self.sig = ((w[-1],) + w * (span // n + 1))[: span + 1]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .charges import CentralCharge, standard_charge
 from .errors import InfiniteStableSet, InvalidQuiver, VerificationFailed, WitnessSearchFailed
-from .maxsets import build_Sk, build_Skl, valid_pairs
+from .maxsets import build_Sk, build_Skl, check_pair, valid_pairs
 from .quivers import MINUS, PLUS, Quiver, QuiverKind, affine_a
 from .stability import (
     SplicedPath,
@@ -86,7 +86,7 @@ def _cond2_violation(q: Quiver, k: int, l: int) -> tuple[int, int] | None:
 
 def is_linear_set(q: Quiver, k: int, l: int) -> LinearityVerdict:
     """Decide whether S(k, l) is realizable by a single linear charge."""
-    build_Skl(q, k, l)  # validates the pair
+    check_pair(q, k, l)
     v1 = _cond1_violation(q, k, l)
     v2 = _cond2_violation(q, k, l)
     if v1 is None:

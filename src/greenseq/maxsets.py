@@ -38,7 +38,8 @@ class MaxSetDescriptor:
         }
 
 
-def _check_pair(q: Quiver, k: int, l: int) -> None:
+def check_pair(q: Quiver, k: int, l: int) -> None:
+    """Raise unless (k, l) indexes a maximal set S(k, l) of q."""
     if q.kind is not QuiverKind.AFFINE_A:
         raise InvalidQuiver("maximal sets S(k,l) are defined for affine quivers")
     if not 1 <= k <= q.n:
@@ -53,7 +54,7 @@ def _check_pair(q: Quiver, k: int, l: int) -> None:
 
 def build_Skl(q: Quiver, k: int, l: int) -> MaxSetDescriptor:
     """Construct S(k, l); the size is always C(a+b, 2) + a*b."""
-    _check_pair(q, k, l)
+    check_pair(q, k, l)
     n = q.n
     A = tuple(sorted({l} | {j for j in range(k + 1, k + n) if q.sign(j) == PLUS}))
     B = tuple(sorted({k} | {i for i in range(l - n + 1, l) if q.sign(i) == MINUS}))

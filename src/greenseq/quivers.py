@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import product
 
 from .errors import InvalidModule, InvalidQuiver
@@ -63,7 +64,7 @@ class Quiver:
             if MINUS in self.signs:
                 raise InvalidQuiver("oriented cycle has all signs +")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.signs) + 1 if self.kind is QuiverKind.FINITE_A else len(self.signs)
 
@@ -211,13 +212,24 @@ class StringModule:
 
 
 def canonicalize(q: Quiver, m: StringModule) -> StringModule:
-    """Shift a cyclic-quiver module so 0 <= i < n; idempotent."""
-    if not q.is_cyclic:
+    """Shift a cyclic-quiver module so 0 <= i < n; idempotent.
+
+    Also the bounds check of every directly built module that reaches
+    the kernels: i >= j, or an end outside [0, n] on A_n, raises
+    :class:`InvalidModule` (the kernels would read such indices from the
+    ends of their tables).
+    """
+    i, j = m.i, m.j
+    if i >= j:
+        raise InvalidModule(f"need i < j, got ({i}, {j})")
+    if q.kind is QuiverKind.FINITE_A:
+        if i < 0 or j > q.n:
+            raise InvalidModule(f"({i}, {j}) outside [0, {q.n}]")
         return m
-    shift = (m.i % q.n) - m.i
+    shift = (i % q.n) - i
     if shift == 0:
         return m
-    return StringModule(q, m.i + shift, m.j + shift)
+    return StringModule(q, i + shift, j + shift)
 
 
 def _module(q: Quiver, i: int, j: int) -> StringModule:
@@ -227,12 +239,6 @@ def _module(q: Quiver, i: int, j: int) -> StringModule:
     non-exceptional strings, so the internal constructor must accept
     them; the public :func:`string_module` stays strict.
     """
-    if i >= j:
-        raise InvalidModule(f"need i < j, got ({i}, {j})")
-    if q.kind is QuiverKind.FINITE_A:
-        if not (0 <= i < j <= q.n):
-            raise InvalidModule(f"({i}, {j}) outside [0, {q.n}]")
-        return StringModule(q, i, j)
     if q.kind is QuiverKind.CYCLE and j - i > q.n - 1:
         raise InvalidModule(f"cycle module length {j - i} exceeds {q.n - 1}")
     return canonicalize(q, StringModule(q, i, j))
@@ -253,8 +259,9 @@ def module_from_json(q: Quiver, data: dict) -> StringModule:
 
 
 def _check_owned(q: Quiver, m: StringModule) -> None:
-    if m.quiver != q:
+    if m.quiver is not q and m.quiver != q:
         raise ValueError("module belongs to a different quiver")
+    canonicalize(q, m)  # bounds check
 
 
 def sub_endpoints(q: Quiver, i: int, j: int) -> tuple[list[int], list[int]]:
@@ -290,31 +297,58 @@ def indecomposable_quotients(q: Quiver, m: StringModule) -> frozenset[StringModu
 
 
 def hom_dim(q: Quiver, m: StringModule, n_mod: StringModule) -> int:
-    """dim Hom(m, n) via graph maps.
+    """dim Hom(m, n) via graph maps: one per cover lift of n whose
+    support meets that of m in an interval (p, r] that is a quotient
+    string of m and a submodule string of the lift.
 
-    Counts interval coincidences between quotient substrings of m and
-    submodule substrings of n, with n ranging over its cover lifts.  The
-    lift window is the exact overlap range of the two supports, which
-    contains the +-2 periods that exceptional modules can ever use.
+    Each lift does constant work.  A quotient string of M(i, j) is cut
+    at its original ends or where it points out of the interval: the
+    left cut p = i or sign(p) = +, the right cut r = j or sign(r) = -.
+    A submodule string of the lift M(i', j') is cut the other way: p = i'
+    or sign(p) = -, r = j' or sign(r) = +.  A common interval can
+    therefore not be cut in the interior of both, so p lies in {i, i'}
+    and r in {j, j'}: at most 2 x 2 candidates.  An interior cut also
+    has to lie inside the other interval, which leaves p = max(i, i')
+    and r = min(j, j'), the overlap itself; it counts when it is
+    nonempty and each end that is interior to one of the two strings
+    carries that string's cut sign.
+
+    The lift window is the exact overlap range of the two supports,
+    which contains the +-2 periods that exceptional modules can ever
+    use.  Independent check: ``tests/intertwiner.py`` computes the same
+    dimension as the nullspace of the intertwiner equations.
     """
     _check_owned(q, m)
     _check_owned(q, n_mod)
-    lefts, rights = quot_endpoints(q, m.i, m.j)
-    quotients = {(p, r) for p, r in product(lefts, rights) if p < r}
+    mi, mj = m.i, m.j
     if not q.is_cyclic:
-        shifts = [0]
+        shifts = range(1)
     else:
         n = q.n
-        lo = -((n_mod.j - m.i) // n)  # ceil((m.i - n.j)/n)
-        hi = (m.j - n_mod.i) // n
-        shifts = range(lo, hi + 1)
+        lo = -((n_mod.j - mi) // n)  # ceil((m.i - n.j)/n)
+        hi = (mj - n_mod.i) // n
+        shifts = range(lo * n, (hi + 1) * n, n)
+    # interior positions only: 1..n-1 on A_n (len(signs) = n - 1), any
+    # integer on the periodic kinds (len(signs) = n)
+    signs = q.signs
+    period = len(signs)
     count = 0
     for s in shifts:
-        base_i = n_mod.i + s * q.n
-        base_j = n_mod.j + s * q.n
-        s_lefts, s_rights = sub_endpoints(q, base_i, base_j)
-        subs = {(p, r) for p, r in product(s_lefts, s_rights) if p < r}
-        count += len(quotients & subs)
+        ni = n_mod.i + s
+        nj = n_mod.j + s
+        if max(mi, ni) >= min(mj, nj):
+            continue
+        # an end interior to the lift is a submodule cut, one interior
+        # to m a quotient cut
+        if mi > ni and signs[(mi - 1) % period] != MINUS:
+            continue
+        if ni > mi and signs[(ni - 1) % period] != PLUS:
+            continue
+        if mj < nj and signs[(mj - 1) % period] != PLUS:
+            continue
+        if nj < mj and signs[(nj - 1) % period] != MINUS:
+            continue
+        count += 1
     return count
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable
+from weakref import WeakKeyDictionary
 
 from .charges import CentralCharge, as_fraction, is_finite
 from .errors import InfiniteStableSet, NonGeneric, SpliceInvalid
@@ -175,28 +176,38 @@ def is_stable_wire(Z: CentralCharge, m: StringModule) -> bool:
 # candidate enumeration and stable sets
 
 
-def candidate_pairs(q: Quiver, max_length: int | None = None) -> list[tuple[int, int]]:
+#: candidate pairs per quiver, dropped with the quiver: every charge on a
+#: quiver scans the same pairs, while one-shot quivers (a CLI call on a
+#: fresh sign word) must not pile up
+_PAIRS: WeakKeyDictionary[Quiver, tuple[tuple[int, int], ...]] = WeakKeyDictionary()
+
+
+def candidate_pairs(q: Quiver) -> tuple[tuple[int, int], ...]:
     """Canonical (i, j) pairs that can carry a stable module.
 
     Finite A_n: every interval.  Cycle: lengths 1..n-1.  Affine: lengths
     below 2n (any longer module is unstable once an essential pair
     exists), skipping non-exceptional end-sign patterns.
     """
-    if q.kind is QuiverKind.FINITE_A:
-        return [(i, j) for i in range(q.n + 1) for j in range(i + 1, q.n + 1)]
+    pairs = _PAIRS.get(q)
+    if pairs is None:
+        pairs = _PAIRS[q] = tuple(_enumerate_pairs(q))
+    return pairs
+
+
+def _enumerate_pairs(q: Quiver) -> Iterable[tuple[int, int]]:
     n = q.n
+    if q.kind is QuiverKind.FINITE_A:
+        return ((i, j) for i in range(n + 1) for j in range(i + 1, n + 1))
     if q.kind is QuiverKind.CYCLE:
-        top = n - 1
-        return [(i, i + d) for i in range(n) for d in range(1, top + 1)]
-    top = (max_length if max_length is not None else 2 * n) - 1
-    out = []
+        return ((i, i + d) for i in range(n) for d in range(1, n))
     sgn = q.sign
-    for i in range(n):
-        for d in range(1, top + 1):
-            if d >= n and sgn(i) == sgn(i + d):
-                continue
-            out.append((i, i + d))
-    return out
+    return (
+        (i, i + d)
+        for i in range(n)
+        for d in range(1, 2 * n)
+        if d < n or sgn(i) != sgn(i + d)
+    )
 
 
 def candidate_modules(q: Quiver) -> list[StringModule]:

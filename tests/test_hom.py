@@ -62,12 +62,42 @@ def test_hom_matches_intertwiner_exhaustive_small(spec):
         assert gs.hom_dim(q, m, nm) == hom_dim_intertwiner(q, m, nm), (m, nm)
 
 
-@settings(max_examples=40, deadline=None)
+affine_words = st.integers(2, 7).flatmap(
+    lambda n: st.text("+-", min_size=n, max_size=n).filter(lambda w: "+" in w and "-" in w)
+)
+quivers = st.one_of(
+    affine_words.map(gs.affine_a),
+    st.text("+-", max_size=5).map(gs.finite_a),  # A_1 .. A_6
+    st.integers(4, 6).map(gs.cycle_quiver),
+)
+
+
+def drawn_module(data, q):
+    """Any string of q, exceptional or not; on the cyclic kinds shifted
+    by a random cover translate, so i is usually not canonical."""
+    n = q.n
+    if q.kind is gs.QuiverKind.FINITE_A:
+        i = data.draw(st.integers(0, n - 1))
+        return gs.StringModule(q, i, data.draw(st.integers(i + 1, n)))
+    top = n - 1 if q.kind is gs.QuiverKind.CYCLE else 2 * n - 1
+    i = data.draw(st.integers(-3 * n, 3 * n))
+    return gs.StringModule(q, i, i + data.draw(st.integers(1, top)))
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_hom_matches_intertwiner_random(data):
-    word = data.draw(st.sampled_from(["-++--", "+-+-", "++--", "+++-"]))
-    q = gs.affine_a(word)
-    mods = small_modules(q, max_len=q.n + 2)
-    m = data.draw(st.sampled_from(mods))
-    nm = data.draw(st.sampled_from(mods))
+    q = data.draw(quivers)
+    m = drawn_module(data, q)
+    nm = drawn_module(data, q)
     assert gs.hom_dim(q, m, nm) == hom_dim_intertwiner(q, m, nm)
+
+
+@pytest.mark.parametrize("ij", [(-1, 2), (1, 4), (2, 2)])
+def test_hom_rejects_out_of_range_finite_modules(ij):
+    q = gs.finite_a("-+")
+    bad = gs.StringModule(q, *ij)
+    good = gs.string_module(q, 0, 1)
+    for args in ((bad, good), (good, bad)):
+        with pytest.raises(gs.InvalidModule):
+            gs.hom_dim(q, *args)

@@ -49,6 +49,27 @@ class TestVerdicts:
                     assert v.linear == (v.pattern_witness is None)
                     assert v.linear == (v.satisfied_condition is not None)
 
+    @pytest.mark.parametrize(
+        "k,l",
+        [
+            (0, 2),  # k below [1, n]; sign(0) = sign(6) is +
+            (7, 9),  # k above [1, n]
+            (1, 1),  # l = k
+            (1, 7),  # l = k + n
+            (2, 4),  # sign(2) is -
+            (1, 4),  # sign(4) is +
+        ],
+    )
+    def test_invalid_pair_raises(self, k, l):
+        q = gs.affine_a("+--+-+")
+        with pytest.raises(ValueError):
+            gs.is_linear_set(q, k, l)
+
+    @pytest.mark.parametrize("spec", ["A:-+", "Dcyc:4"])
+    def test_non_affine_quiver_raises(self, spec):
+        with pytest.raises(gs.InvalidQuiver):
+            gs.is_linear_set(gs.parse_quiver(spec), 1, 2)
+
 
 class TestReineke:
     def test_example_heights(self):

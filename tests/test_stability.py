@@ -127,6 +127,28 @@ def test_criteria_canonicalize_cover_translates():
             assert fn(Z, m) == fn(Z, _module(q, i, j))
 
 
+CRITERIA = (
+    gs.is_stable_oracle,
+    gs.is_semistable_oracle,
+    gs.is_stable_chord,
+    gs.is_semistable_chord,
+    gs.is_stable_wire,
+    gs.is_semistable_wire,
+)
+
+
+@pytest.mark.parametrize("ij", [(-1, 2), (1, 4), (2, 2), (2, 1)])
+def test_criteria_reject_out_of_range_finite_modules(ij):
+    # built directly, past the validating constructor: a negative index
+    # would read the integer context from its end
+    q = gs.finite_a("-+")
+    Z = gs.make_charge(q, [1, -1, 2], [1, 1, 1])
+    m = gs.StringModule(q, *ij)
+    for fn in CRITERIA:
+        with pytest.raises(gs.InvalidModule):
+            fn(Z, m)
+
+
 class TestStableSet:
     def test_figure1(self):
         got = {(m.i, m.j) for m in gs.stable_set(FIG1)}
