@@ -12,9 +12,10 @@ f_t(s) = y_t - s * x_t is the t-th wire (wire view); the slope of a
 module M(i, j) is (y_j - y_i)/(x_j - x_i), which is also the slope of
 the chord p_i p_j and the abscissa where wires i and j cross.
 
-All arithmetic is exact.  Comparisons hot enough to matter run on an
-integer rescaling of the cumulative sums (:class:`IntContext`), which is
-an exact clearing of denominators, never an approximation.
+All arithmetic is exact.  A charge keeps one representation of the
+cumulative sums, an integer rescaling (:class:`IntContext`) that is an
+exact clearing of denominators, never an approximation; the rational
+views below are read off it.
 """
 
 from __future__ import annotations
@@ -94,20 +95,6 @@ class CentralCharge:
             raise InvalidCharge("every b_i must be positive")
 
     @cached_property
-    def _ycum(self) -> tuple[Fraction, ...]:
-        out = [Fraction(0)]
-        for v in self.a:
-            out.append(out[-1] + v)
-        return tuple(out)
-
-    @cached_property
-    def _xcum(self) -> tuple[Fraction, ...]:
-        out = [Fraction(0)]
-        for v in self.b:
-            out.append(out[-1] + v)
-        return tuple(out)
-
-    @cached_property
     def _ctx(self) -> IntContext:
         # 5n covers every enumeration window used downstream (the widest
         # is the 4n finiteness scan starting below n).
@@ -128,20 +115,23 @@ class CentralCharge:
 
         return classify(self)
 
-    def _cum(self, table, t: int) -> Fraction:
+    def _cum(self, t: int) -> tuple[int, int]:
+        """(la * y_t, lb * x_t) from the integer context, periodically
+        extended over the universal cover for the cyclic kinds."""
         n = self.quiver.n
+        ctx = self._ctx
         if self.quiver.kind is QuiverKind.FINITE_A:
             if not 0 <= t <= n:
                 raise ValueError(f"index {t} outside [0, {n}]")
-            return table[t]
+            return ctx.ya[t], ctx.xb[t]
         q, r = divmod(t, n)
-        return table[r] + q * table[n]
+        return ctx.ya[r] + q * ctx.ya[n], ctx.xb[r] + q * ctx.xb[n]
 
     def x(self, t: int) -> Fraction:
-        return self._cum(self._xcum, t)
+        return Fraction(self._cum(t)[1], self._ctx.lb)
 
     def y(self, t: int) -> Fraction:
-        return self._cum(self._ycum, t)
+        return Fraction(self._cum(t)[0], self._ctx.la)
 
     def dual_vertex(self, t: int) -> tuple[Fraction, Fraction]:
         """Chord-view point p_t = (x_t, y_t)."""
@@ -153,7 +143,9 @@ class CentralCharge:
 
     def crossing_slope(self, i: int, j: int) -> Fraction:
         """Abscissa of the crossing of wires i and j (= slope of chord p_i p_j)."""
-        return (self.y(j) - self.y(i)) / (self.x(j) - self.x(i))
+        (yi, xi), (yj, xj) = self._cum(i), self._cum(j)
+        ctx = self._ctx
+        return Fraction((yj - yi) * ctx.lb, (xj - xi) * ctx.la)
 
     @property
     def is_standard(self) -> bool:
@@ -161,7 +153,7 @@ class CentralCharge:
 
     @property
     def is_normalized(self) -> bool:
-        return self._ycum[-1] == 0
+        return self._ctx.ya[self.quiver.n] == 0
 
     def to_json(self) -> dict:
         def enc(v: Fraction):
@@ -196,7 +188,8 @@ def slope(Z: CentralCharge, m: StringModule) -> Fraction:
 
 
 def _total_slope(Z: CentralCharge) -> Fraction:
-    return Z._ycum[-1] / Z._xcum[-1]
+    ya_n, xb_n = Z._cum(Z.quiver.n)
+    return Fraction(ya_n * Z._ctx.lb, xb_n * Z._ctx.la)
 
 
 def normalize(Z: CentralCharge) -> CentralCharge:
@@ -214,16 +207,29 @@ def critical_slope(Z: CentralCharge) -> Fraction:
     return _total_slope(Z)
 
 
+def _int_heights(Z: CentralCharge) -> dict[int, int]:
+    """H_t = ya_t * xb_n - ya_n * xb_t for t in [1, n].
+
+    f_t at the critical slope is H_t / (la * xb_n) with la * xb_n > 0,
+    so the integers H_t order the critical heights exactly.
+    """
+    if not Z.quiver.is_cyclic:
+        raise InvalidQuiver("critical slope needs a cyclic quiver (no null root on A_n)")
+    n = Z.quiver.n
+    ya, xb = Z._ctx.ya, Z._ctx.xb
+    return {t: ya[t] * xb[n] - ya[n] * xb[t] for t in range(1, n + 1)}
+
+
 def critical_heights(Z: CentralCharge) -> dict[int, Fraction]:
     """f_t at the critical slope for t in [1, n]; n-periodic by construction."""
-    c = critical_slope(Z)
-    return {t: Z.wire_value(t, c) for t in range(1, Z.quiver.n + 1)}
+    scale = Z._ctx.la * Z._ctx.xb[Z.quiver.n]
+    return {t: Fraction(h, scale) for t, h in _int_heights(Z).items()}
 
 
 def height_order(Z: CentralCharge) -> tuple[tuple[int, ...], ...]:
     """Indices 1..n grouped by exact critical-line height, lowest group first."""
-    heights = critical_heights(Z)
-    groups: dict[Fraction, list[int]] = {}
+    heights = _int_heights(Z)
+    groups: dict[int, list[int]] = {}
     for t, h in heights.items():
         groups.setdefault(h, []).append(t)
     return tuple(tuple(sorted(groups[h])) for h in sorted(groups))
@@ -235,7 +241,7 @@ def essential_pairs(Z: CentralCharge) -> list[tuple[int, int]]:
     q = Z.quiver
     if not q.is_cyclic:
         raise InvalidQuiver("essential pairs are defined for cyclic quivers")
-    heights = critical_heights(Z)
+    heights = _int_heights(Z)
     return [
         (k, l)
         for k in q.positives()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
@@ -197,7 +196,8 @@ def _fuzz_chunk(task):
 
 
 def cmd_verify(args) -> int:
-    jobs = args.jobs or int(os.environ.get("GREENSEQ_JOBS", "1"))
+    # a pool forks all its workers up front, so never more than there are trials
+    jobs = min(args.jobs or 1, args.trials)
     mismatches = []
     for spec in args.quiver:
         if jobs > 1:
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--max-denominator", type=int, default=64)
     p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers (default GREENSEQ_JOBS or 1)")
+                   help="parallel workers (default 1; at most one per trial)")
 
     return ap
 

@@ -7,10 +7,13 @@ the signs strictly between l and k+n put every + before every - (Cond2).
 Otherwise the four indices breaking both conditions form the
 nonlinearity witness.
 
-The constructors below never return an unverified charge: each one
-recomputes the stable set (the sweep of :func:`stability.classify`),
-cross-checks the chord and wire criteria on every member, and raises if
-the target set is not hit exactly.
+The constructors below share one path: template coordinates for the
+dual vertices, one polygon-to-charge step (:func:`_through`) and one
+certifier (:func:`_certify`).  None returns an unverified charge: the
+certifier compares the stable set (the sweep of
+:func:`stability.classify`) with the target, re-checks every member
+with the chord and wire kernels, and raises unless the target set is
+hit exactly.
 """
 
 from __future__ import annotations
@@ -18,18 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charges import CentralCharge, standard_charge
+from .charges import CentralCharge, make_charge
 from .errors import InfiniteStableSet, InvalidQuiver, VerificationFailed, WitnessSearchFailed
 from .maxsets import build_Sk, build_Skl, check_pair, valid_pairs
 from .quivers import MINUS, PLUS, Quiver, QuiverKind, affine_a
 from .stability import (
     SplicedPath,
+    _chord,
+    _wire,
     candidate_modules,
-    is_stable_chord,
-    is_stable_wire,
     modules_sorted,
     spliced_halves,
-    spliced_stable_set,
     stable_set,
 )
 
@@ -60,35 +62,28 @@ class LinearityVerdict:
         }
 
 
-def _cond1_violation(q: Quiver, k: int, l: int) -> tuple[int, int] | None:
-    """First + before a - inside (k, l), or None if all -'s come first."""
-    first_plus = None
-    for t in range(k + 1, l):
-        s = q.sign(t)
-        if s == PLUS and first_plus is None:
-            first_plus = t
-        elif s == MINUS and first_plus is not None:
-            return (first_plus, t)
-    return None
+def _inversion(q: Quiver, lo: int, hi: int, first: int) -> tuple[int, int] | None:
+    """The first sign ``first`` inside (lo, hi) and the first opposite
+    sign after it, or None if the opposite signs all come first.
 
-
-def _cond2_violation(q: Quiver, k: int, l: int) -> tuple[int, int] | None:
-    """First - before a + inside (l, k+n), or None if all +'s come first."""
-    first_minus = None
-    for t in range(l + 1, k + q.n):
-        s = q.sign(t)
-        if s == MINUS and first_minus is None:
-            first_minus = t
-        elif s == PLUS and first_minus is not None:
-            return (first_minus, t)
+    Cond1 holds when ``_inversion(q, k, l, PLUS)`` is None, Cond2 when
+    ``_inversion(q, l, k + n, MINUS)`` is.
+    """
+    start = None
+    for t in range(lo + 1, hi):
+        if q.sign(t) == first:
+            if start is None:
+                start = t
+        elif start is not None:
+            return (start, t)
     return None
 
 
 def is_linear_set(q: Quiver, k: int, l: int) -> LinearityVerdict:
     """Decide whether S(k, l) is realizable by a single linear charge."""
     check_pair(q, k, l)
-    v1 = _cond1_violation(q, k, l)
-    v2 = _cond2_violation(q, k, l)
+    v1 = _inversion(q, k, l, PLUS)
+    v2 = _inversion(q, l, k + q.n, MINUS)
     if v1 is None:
         return LinearityVerdict(True, satisfied_condition="Cond1")
     if v2 is None:
@@ -100,16 +95,36 @@ def is_linear_set(q: Quiver, k: int, l: int) -> LinearityVerdict:
 # verified constructions
 
 
-def _verified(q: Quiver, Z: CentralCharge, target, err: type[Exception], what: str):
-    got = stable_set(Z)
+def _through(q: Quiver, k: int, xs, ys) -> CentralCharge:
+    """The charge whose dual vertices are p_t = (xs[t], ys[t]) for
+    k <= t <= k+n (xs and ys are indexed by t; on a cyclic quiver the
+    window wraps once around the period)."""
+    n = q.n
+    a = [0] * n
+    b = [0] * n
+    for t in range(k + 1, k + n + 1):
+        a[(t - 1) % n] = ys[t] - ys[t - 1]
+        b[(t - 1) % n] = xs[t] - xs[t - 1]
+    return make_charge(q, a, b)
+
+
+def _certify(halves, target, err: type[Exception], what: str) -> None:
+    """Raise ``err`` unless the members of the ``(charge, members)``
+    halves are exactly ``target`` and the chord and wire criteria both
+    call each member stable under its own charge.
+
+    Members come from their charge's sweep, so they are canonical and
+    inside its integer context: the kernels run on them directly.
+    """
+    got = frozenset().union(*(members for _, members in halves))
     if got != target:
         missing = modules_sorted(target - got)
         extra = modules_sorted(got - target)
         raise err(f"{what}: stable set mismatch (missing {missing}, extra {extra})")
-    for m in got:
-        if not (is_stable_chord(Z, m) and is_stable_wire(Z, m)):
-            raise err(f"{what}: criteria disagree on {m!r}")
-    return Z
+    for Z, members in halves:
+        for m in members:
+            if not (_chord(Z, m.i, m.j, True) and _wire(Z, m.i, m.j, True)):
+                raise err(f"{what}: criteria disagree on {m!r}")
 
 
 def reineke_charge(q: Quiver) -> CentralCharge:
@@ -125,14 +140,15 @@ def reineke_charge(q: Quiver) -> CentralCharge:
     n = q.n
     target = frozenset(candidate_modules(q))
     for scale in (1, 2, 3):
-        heights = [F(0)]
+        heights = [0] * (n + 1)
         for s in range(1, n):
-            h = F(s * (n - s))
-            heights.append(h * scale if q.sign(s) == PLUS else -h)
-        heights.append(F(0))
-        Z = standard_charge(q, [heights[s] - heights[s - 1] for s in range(1, n + 1)])
-        if stable_set(Z) == target:
-            return _verified(q, Z, target, VerificationFailed, "all-stable charge")
+            h = s * (n - s)
+            heights[s] = h * scale if q.sign(s) == PLUS else -h
+        Z = _through(q, 0, range(n + 1), heights)
+        got = stable_set(Z)
+        if got == target:
+            _certify([(Z, got)], target, VerificationFailed, "all-stable charge")
+            return Z
     raise VerificationFailed(f"no all-stable charge found for {q.label()}")
 
 
@@ -147,15 +163,10 @@ def dn_charge(q: Quiver, k: int) -> CentralCharge:
     """
     target = build_Sk(q, k)
     n = q.n
-
-    def c(j: int) -> Fraction:
-        return -F((2 * k + n - 2 * j) ** 2)
-
-    a = [F(0)] * (n + 1)
-    for j in range(k + 1, k + n + 1):
-        a[(j - 1) % n + 1] = c(j) - c(j - 1)
-    Z = standard_charge(q, a[1:])
-    return _verified(q, Z, target, VerificationFailed, f"S({k}) charge")
+    ys = [-((2 * k + n - 2 * j) ** 2) for j in range(k + n + 1)]
+    Z = _through(q, k, range(k + n + 1), ys)
+    _certify([(Z, stable_set(Z))], target, VerificationFailed, f"S({k}) charge")
+    return Z
 
 
 # -- single-charge witnesses -------------------------------------------------
@@ -201,14 +212,7 @@ def _cond2_charge(q: Quiver, k: int, l: int, eps: Fraction) -> CentralCharge:
         else:
             rep = xs[t] if t < l else xs[t] - period  # arc parameter in [-2, 2m+1]
             ys[t] = -2 + eta * (rep + F(7, 3)) ** 2
-
-    a = [F(0)] * (n + 1)
-    b = [F(0)] * (n + 1)
-    for t in range(k + 1, k + n + 1):
-        r = (t - 1) % n + 1
-        a[r] = ys[t] - ys[t - 1]
-        b[r] = xs[t] - xs[t - 1]
-    return CentralCharge(q, tuple(a[1:]), tuple(b[1:]))
+    return _through(q, k, xs, ys)
 
 
 def _mirror_quiver(q: Quiver) -> Quiver:
@@ -226,9 +230,7 @@ def _unmirror_charge(q: Quiver, Zm: CentralCharge) -> CentralCharge:
     """Pull a charge back through the flip: a_i = -a*_{1-i}, b_i = b*_{1-i}."""
     n = q.n
     rev = [((1 - i) % n or n) - 1 for i in range(1, n + 1)]
-    return CentralCharge(
-        q, tuple(-Zm.a[r] for r in rev), tuple(Zm.b[r] for r in rev)
-    )
+    return CentralCharge(q, tuple(-Zm.a[r] for r in rev), tuple(Zm.b[r] for r in rev))
 
 
 def witness_linear(q: Quiver, k: int, l: int) -> CentralCharge:
@@ -242,7 +244,7 @@ def witness_linear(q: Quiver, k: int, l: int) -> CentralCharge:
     if not verdict.linear:
         raise ValueError(f"S({k},{l}) on {q.label()} is nonlinear; use a spliced witness")
     target = build_Skl(q, k, l).modules
-    use_mirror = _cond2_violation(q, k, l) is not None
+    use_mirror = _inversion(q, l, k + q.n, MINUS) is not None
     if use_mirror:
         qm = _mirror_quiver(q)
         km, lm = _mirror_pair(q, k, l)
@@ -253,7 +255,8 @@ def witness_linear(q: Quiver, k: int, l: int) -> CentralCharge:
         else:
             Z = _cond2_charge(q, k, l, eps)
         try:
-            return _verified(q, Z, target, VerificationFailed, f"S({k},{l}) witness")
+            _certify([(Z, stable_set(Z))], target, VerificationFailed, f"S({k},{l}) witness")
+            return Z
         except (VerificationFailed, InfiniteStableSet) as err:
             last_err = err
     raise WitnessSearchFailed(
@@ -288,8 +291,8 @@ def _spliced_charge(q: Quiver, k: int, l: int, shift: Fraction) -> CentralCharge
     n = q.n
     xs: dict[int, Fraction] = {k: F(-14) - shift, l: F(-5) + shift, k + n: F(26) - shift}
     ys: dict[int, Fraction] = {k: F(-1), l: F(1), k + n: F(-1)}
-    left = [t for t in range(k + 1, l)]
-    right = [t for t in range(l + 1, k + n)]
+    left = range(k + 1, l)
+    right = range(l + 1, k + n)
     for idx, t in enumerate(left, start=1):
         x = -10 + F(idx, len(left) + 1)
         xs[t] = x
@@ -298,33 +301,16 @@ def _spliced_charge(q: Quiver, k: int, l: int, shift: Fraction) -> CentralCharge
         x = 10 + F(idx, len(right) + 1)
         xs[t] = x
         ys[t] = _pos_arc(x) if q.sign(t) == PLUS else _neg_arc(x)
-    a = [F(0)] * (n + 1)
-    b = [F(0)] * (n + 1)
-    for t in range(k + 1, k + n + 1):
-        r = (t - 1) % n + 1
-        a[r] = ys[t] - ys[t - 1]
-        b[r] = xs[t] - xs[t - 1]
-    return CentralCharge(q, tuple(a[1:]), tuple(b[1:]))
+    return _through(q, k, xs, ys)
 
 
 def witness_spliced(q: Quiver, k: int, l: int) -> SplicedPath:
     """A verified spliced path whose stable set is exactly S(k, l)."""
     target = build_Skl(q, k, l).modules
-    path = SplicedPath(
-        _spliced_charge(q, k, l, F(0)), _spliced_charge(q, k, l, F(10))
-    )
-    got = spliced_stable_set(path)
-    if got != target:
-        missing = modules_sorted(target - got)
-        extra = modules_sorted(got - target)
-        raise WitnessSearchFailed(
-            f"spliced witness for S({k},{l}) on {q.label()} missed: "
-            f"missing {missing}, extra {extra}"
-        )
-    for Z, half in zip((path.z, path.z_prime), spliced_halves(path)):
-        for m in half:
-            if not (is_stable_chord(Z, m) and is_stable_wire(Z, m)):
-                raise WitnessSearchFailed(f"criteria disagree on {m!r}")
+    path = SplicedPath(_spliced_charge(q, k, l, F(0)), _spliced_charge(q, k, l, F(10)))
+    neg, pos = spliced_halves(path)
+    _certify([(path.z, neg), (path.z_prime, pos)], target, WitnessSearchFailed,
+             f"spliced witness for S({k},{l}) on {q.label()}")
     return path
 
 

@@ -5,9 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greenseq as gs
+from conftest import affine_quivers, cycle_quivers, finite_quivers
 from greenseq.quivers import _module
 
 KRON = gs.affine_a("+-")
+VIEW_QUIVERS = (
+    affine_quivers(4)
+    + [gs.affine_a(w) for w in ("-++--", "++-+--+")]
+    + cycle_quivers(6)
+    + finite_quivers(5)
+)
 
 
 def kron(a1, a2):
@@ -63,12 +70,32 @@ class TestSlope:
         Z = gs.make_charge(q, ["1/2", "3/2", -2], [1, 1, 1])
         assert gs.slope(Z, gs.string_module(q, 1, 3)) == F(-1, 4)
 
-    def test_periodic_cover_values(self):
-        q = gs.affine_a("+--")
-        Z = gs.make_charge(q, [1, 2, -4], [1, 2, 3])
-        for t in range(-6, 13):
-            assert Z.x(t + 3) - Z.x(t) == 6
-            assert Z.y(t + 3) - Z.y(t) == -1
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_periodic_cover_values(self, data):
+        """x_t, y_t are the cumulative sums of b, a (periodically extended
+        over the cover on the cyclic kinds), and the critical heights are
+        y_t - c x_t with c = sum a / sum b."""
+        q = data.draw(st.sampled_from(VIEW_QUIVERS))
+        Z = data.draw(charge_strategy(q))
+        n = q.n
+
+        def cum(v, t):
+            if t >= 0:
+                return sum(v[(s - 1) % n] for s in range(1, t + 1))
+            return -sum(v[(s - 1) % n] for s in range(t + 1, 1))
+
+        span = range(-2 * n, 3 * n + 1) if q.is_cyclic else range(n + 1)
+        for t in span:
+            assert Z.x(t) == cum(Z.b, t)
+            assert Z.y(t) == cum(Z.a, t)
+        if not q.is_cyclic:
+            with pytest.raises(ValueError):
+                Z.x(n + 1)
+            return
+        c = sum(Z.a) / sum(Z.b)
+        heights = gs.critical_heights(Z)
+        assert heights == {t: cum(Z.a, t) - c * cum(Z.b, t) for t in range(1, n + 1)}
 
 
 class TestNormalize:

@@ -177,3 +177,35 @@ class TestVerify:
         _, serial, _ = run(capsys, *base)
         _, parallel, _ = run(capsys, *base, "--jobs", "2")
         assert serial == parallel
+
+    def test_jobs_capped_at_trials(self, capsys, monkeypatch):
+        """A pool forks all its workers up front: --jobs beyond the trial
+        count must not ask it for more workers than there are trials."""
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("greenseq.cli.ProcessPoolExecutor", InlinePool)
+        base = ["verify", "--quiver", "At:-++--", "--trials", "3", "--seed", "5", "--json"]
+        _, serial, _ = run(capsys, *base)
+        assert sizes == []
+        code, parallel, _ = run(capsys, *base, "--jobs", "64")
+        assert code == 0
+        assert sizes == [3]
+        assert parallel == serial
+        code, out, _ = run(capsys, "verify", "--quiver", "At:-++--", "--trials", "0",
+                           "--jobs", "4", "--json")
+        assert code == 0
+        assert json.loads(out)["mismatches"] == []
+        assert sizes == [3]

@@ -2,8 +2,10 @@
 
 Each case is one ``greenseq`` command line; ``golden/cli.json`` holds its
 exit code, stdout and stderr.  Together the cases cover chord and wire
-renders (finite, windowed, spliced and infinite charges) and the JSON
-forms of ``stable-set`` and ``mgs``, refusals included.
+renders (finite, windowed, spliced and infinite charges), the JSON
+forms of ``stable-set`` and ``mgs``, and the witness constructors
+(``witness``, ``reineke``, ``dn-charge``) with ``linearity`` and
+``maxsets``, refusals included.
 
 To record the file again (only from a build whose outputs are trusted):
 
@@ -24,6 +26,7 @@ from greenseq.cli import main
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 
 AT5 = "At:-++--"
+AT6 = "At:+++---"
 GENERIC = '{"a": [-1, "1/2", -3, "3/2", 4], "b": ["1/2", "3/2", 2, 1, "3/2"]}'
 SEMISTABLE = '{"a": [-2, 2, 4, -2, 2], "b": ["3/2", 1, "3/2", 1, 1]}'
 TIE = '{"a": [-2, -1, -3, -2, 0], "b": ["1/2", "3/2", "1/2", "1/2", "3/2"]}'
@@ -65,6 +68,19 @@ def cases() -> dict[str, list[str]]:
         out[f"mgs-{label}"] = ["mgs", "--json", "--quiver", quiver, "--charge", charge]
     out["mgs-universal-tie"] = ["mgs", "--json", "--quiver", "A:-+",
                                 "--charge", '{"a":[0,0,0],"b":[1,1,1]}']
+    # witness constructors: direct Cond2 template, mirrored Cond1
+    # template, spliced template, and the refusal of a nonlinear pair
+    for k, l in ((1, 4), (2, 4), (2, 5)):
+        out[f"witness-{k}{l}"] = ["witness", "--json", "--quiver", AT6,
+                                  "--k", str(k), "--l", str(l)]
+    out["witness-14-spliced"] = ["witness", "--json", "--quiver", AT6, "--k", "1", "--l", "4",
+                                 "--kind", "spliced"]
+    out["witness-25-linear"] = ["witness", "--json", "--quiver", AT6, "--k", "2", "--l", "5",
+                                "--kind", "linear"]
+    out["reineke"] = ["reineke", "--json", "--quiver", "A:-+-+"]
+    out["dn-charge"] = ["dn-charge", "--json", "--quiver", "Dcyc:5", "--k", "2"]
+    out["linearity"] = ["linearity", "--json", "--quiver", AT6, "--k", "2", "--l", "5"]
+    out["maxsets"] = ["maxsets", "--json", "--quiver", AT6]
     return out
 
 

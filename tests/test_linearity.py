@@ -4,6 +4,7 @@ import pytest
 
 import greenseq as gs
 from conftest import affine_quivers, affine_words
+from greenseq import linearity
 
 
 class TestVerdicts:
@@ -166,3 +167,48 @@ class TestWitnessSpliced:
     def test_shared_a_vector(self):
         p = gs.witness_spliced(gs.affine_a("+--"), 1, 2)
         assert p.z.a == p.z_prime.a
+
+
+class TestCertifier:
+    """The failure branches of the one certifier behind every constructor."""
+
+    def test_mismatch_names_missing_and_extra(self):
+        q = gs.cycle_quiver(5)
+        Z = gs.dn_charge(q, 2)
+        got = gs.stable_set(Z)
+        dropped = min(got, key=lambda m: (m.i, m.j))
+        added = next(m for m in gs.candidate_modules(q) if m not in got)
+        target = (got - {dropped}) | {added}
+        with pytest.raises(gs.VerificationFailed) as err:
+            linearity._certify([(Z, got)], target, gs.VerificationFailed, "probe")
+        message = str(err.value)
+        assert message.startswith("probe: stable set mismatch")
+        assert f"missing [{added!r}]" in message
+        assert f"extra [{dropped!r}]" in message
+
+    def test_kernel_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(linearity, "_wire", lambda Z, i, j, strict: False)
+        q = gs.affine_a("+++---")
+        with pytest.raises(gs.WitnessSearchFailed, match="criteria disagree"):
+            gs.witness_spliced(q, 2, 5)
+        with pytest.raises(gs.VerificationFailed, match="criteria disagree"):
+            gs.reineke_charge(gs.finite_a("-+-+"))
+
+    def test_linear_search_exhausted(self, monkeypatch):
+        monkeypatch.setattr(linearity, "_wire", lambda Z, i, j, strict: False)
+        with pytest.raises(gs.WitnessSearchFailed, match="failed at every eps"):
+            gs.witness_linear(gs.affine_a("+++---"), 1, 4)
+
+    def test_linear_search_exhausted_on_infinite_charges(self, monkeypatch):
+        q = gs.affine_a("+-")
+        infinite = gs.make_charge(q, [1, 0], [1, 1])  # no essential pair
+        calls = []
+
+        def template(*args):
+            calls.append(args)
+            return infinite
+
+        monkeypatch.setattr(linearity, "_cond2_charge", template)
+        with pytest.raises(gs.WitnessSearchFailed, match="no essential pair"):
+            gs.witness_linear(q, 1, 2)
+        assert len(calls) == len(linearity.EPS_SCHEDULE)
