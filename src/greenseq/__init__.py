@@ -69,7 +69,7 @@ from .quivers import (
     parse_quiver,
     string_module,
 )
-from .render import RenderSpec, RenderStyle, render_chord_svg, render_wire_svg
+from .render import render_chord_svg, render_wire_svg
 from .rng import XorShift64Star, substream
 from .stability import (
     GreenSequence,

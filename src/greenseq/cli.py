@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Exit codes: 0 on success, 1 on domain errors (machine-readable JSON on
+Exit codes: 0 on success, 1 on domain, input and file errors (JSON on
 stderr), 2 on usage errors (argparse).  ``--json`` swaps the human
 tables for the JSON forms used everywhere else in the package.
 """
@@ -26,7 +26,7 @@ from .linearity import (
 )
 from .maxsets import build_Skl, enumerate_max_sets, max_mgs_length
 from .quivers import parse_quiver
-from .render import RenderSpec, render_chord_svg, render_wire_svg
+from .render import render_chord_svg, render_wire_svg
 from .stability import (
     SplicedPath,
     fuzz_quiver,
@@ -177,9 +177,8 @@ def cmd_render(args) -> int:
     target = Z
     if args.charge_prime:
         target = SplicedPath(Z, _charge_arg(q, args.charge_prime))
-    window = tuple(args.window) if args.window else None
-    spec = RenderSpec(mode=args.mode, window=window)
-    svg = render_chord_svg(target, spec) if args.mode == "chord" else render_wire_svg(target, spec)
+    render = render_chord_svg if args.mode == "chord" else render_wire_svg
+    svg = render(target, window=args.window)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -190,28 +189,25 @@ def cmd_render(args) -> int:
 
 
 def _fuzz_chunk(task):
-    spec, trials, seed, max_den, start = task
-    q = parse_quiver(spec)
-    return fuzz_quiver(q, trials, seed, max_den, start=start)
+    return fuzz_quiver(*task)
 
 
 def cmd_verify(args) -> int:
+    quivers = [parse_quiver(spec) for spec in args.quiver]
     # a pool forks all its workers up front, so never more than there are trials
-    jobs = min(args.jobs or 1, args.trials)
-    mismatches = []
-    for spec in args.quiver:
-        if jobs > 1:
-            chunk = max(1, args.trials // jobs)
-            tasks = [
-                (spec, min(chunk, args.trials - s), args.seed, args.max_denominator, s)
-                for s in range(0, args.trials, chunk)
-            ]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for part in pool.map(_fuzz_chunk, tasks):
-                    mismatches.extend(part)
-        else:
-            q = parse_quiver(spec)
-            mismatches.extend(fuzz_quiver(q, args.trials, args.seed, args.max_denominator))
+    jobs = max(1, min(args.jobs or 1, args.trials))
+    chunk = max(1, args.trials // jobs)
+    tasks = [
+        (q, min(chunk, args.trials - s), args.seed, args.max_denominator, s)
+        for q in quivers
+        for s in range(0, args.trials, chunk)
+    ]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(_fuzz_chunk, tasks))
+    else:
+        parts = map(_fuzz_chunk, tasks)
+    mismatches = [bad for part in parts for bad in part]
     mismatches.sort(key=lambda m: (m.get("trial", 0), m["module"]["i"], m["module"]["j"]))
     payload = {
         "quivers": list(args.quiver),
@@ -313,6 +309,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as err:
         sys.stderr.write(json.dumps({"error": "value-error", "message": str(err)}) + "\n")
+        return 1
+    except OSError as err:
+        sys.stderr.write(json.dumps({"error": "os-error", "message": str(err)}) + "\n")
         return 1
 
 

@@ -258,10 +258,11 @@ def module_from_json(q: Quiver, data: dict) -> StringModule:
     return string_module(q, int(data["i"]), int(data["j"]))
 
 
-def _check_owned(q: Quiver, m: StringModule) -> None:
+def _check_owned(q: Quiver, m: StringModule) -> StringModule:
+    """m in canonical form, after checking that it is a module of q."""
     if m.quiver is not q and m.quiver != q:
         raise ValueError("module belongs to a different quiver")
-    canonicalize(q, m)  # bounds check
+    return canonicalize(q, m)
 
 
 def sub_endpoints(q: Quiver, i: int, j: int) -> tuple[list[int], list[int]]:

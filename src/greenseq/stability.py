@@ -32,8 +32,8 @@ from .quivers import (
     Quiver,
     QuiverKind,
     StringModule,
+    _check_owned,
     _module,
-    canonicalize,
     indecomposable_submodules,
 )
 from .rng import XorShift64Star
@@ -103,7 +103,7 @@ def _oracle(Z: CentralCharge, i: int, j: int, strict: bool) -> bool:
 
 
 def _criterion(kernel, Z: CentralCharge, m: StringModule, strict: bool) -> bool:
-    m = canonicalize(Z.quiver, m)  # the kernels index the context from 0
+    m = _check_owned(Z.quiver, m)  # the kernels index the context from 0
     Z._widen_ctx(m.j)
     return kernel(Z, m.i, m.j, strict)
 

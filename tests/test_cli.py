@@ -143,6 +143,27 @@ class TestSubcommands:
         assert code == 0
         assert out_file.read_text().startswith("<?xml")
 
+    def test_render_to_unwritable_path(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "x.svg"
+        code, out, err = run(
+            capsys, "render", "chord", "--quiver", "A:-+", "--charge", FIG1_CHARGE,
+            "-o", str(out_file),
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "os-error"
+        assert str(out_file) in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("mode, window", [("chord", ("2", "2")), ("wire", ("a", "3"))])
+    def test_render_bad_window(self, capsys, mode, window):
+        code, _, err = run(
+            capsys, "render", mode, "--quiver", "A:-+", "--charge", FIG1_CHARGE,
+            "--window", *window,
+        )
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "value-error"
+        assert "window" in payload["message"]
+
     def test_render_spliced_wire(self, capsys):
         q = gs.affine_a("+--")
         p = gs.witness_spliced(q, 1, 2)
@@ -209,3 +230,13 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["mismatches"] == []
         assert sizes == [3]
+        # one pool for every quiver
+        sizes.clear()
+        base = ["verify", "--quiver", "A:-+", "--quiver", "Dcyc:4", "--quiver", "At:+-",
+                "--trials", "4", "--json"]
+        _, serial, _ = run(capsys, *base)
+        assert sizes == []
+        code, parallel, _ = run(capsys, *base, "--jobs", "4")
+        assert code == 0
+        assert sizes == [4]
+        assert parallel == serial

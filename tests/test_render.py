@@ -1,6 +1,8 @@
 import re
 import xml.etree.ElementTree as ET
 
+import pytest
+
 import greenseq as gs
 
 A3 = gs.finite_a("-+")
@@ -47,12 +49,26 @@ class TestChord:
         assert solid_chords(svg) == 24
         ET.fromstring(svg)
 
+    def test_spliced_panels_side_by_side(self):
+        p = gs.witness_spliced(gs.affine_a("+++---"), 2, 5)
+        cx = [float(x) for x in re.findall(r'class="vertex" data-index="-?\d+" cx="([^"]+)"',
+                                           gs.render_chord_svg(p))]
+        first, second = cx[: len(cx) // 2], cx[len(cx) // 2:]
+        assert len(first) == len(second) > 1
+        assert max(first) < min(second)
+
+    @pytest.mark.parametrize("window", [(2, 2), (3, 1), ("a", 3), ("1.5", 3), (1,)])
+    def test_bad_window_names_it(self, window):
+        with pytest.raises(ValueError, match="window") as err:
+            gs.render_chord_svg(FIG1, window=window)
+        assert not isinstance(err.value, gs.GreenseqError)
+
     def test_cycle_window_draws_non_modules_dashed(self):
         # strings of length >= n are not modules of the truncated cycle;
         # this charge's chord test would pass M(0,5) and M(5,10)
         q = gs.cycle_quiver(5)
         Z = gs.make_charge(q, [3, 4, 2, 1, "-1/3"], ["4/3", 1, "1/3", 2, 4])
-        svg = gs.render_chord_svg(Z, gs.RenderSpec(window=(0, 10)))
+        svg = gs.render_chord_svg(Z, window=(0, 10))
         assert gs.is_stable_chord(Z, gs.StringModule(q, 0, 5))
         stable = {tuple(map(int, m.split(","))) for m in
                   re.findall(r'class="chord stable" data-module="([^"]+)"', svg)}
@@ -91,10 +107,15 @@ class TestWire:
         ET.fromstring(svg)
 
     def test_explicit_window(self):
-        spec = gs.RenderSpec(mode="wire", window=("-3", "3"))
-        svg = gs.render_wire_svg(FIG1, spec)
+        svg = gs.render_wire_svg(FIG1, window=("-3", "3"))
         assert crossings(svg) == 5
         ET.fromstring(svg)
+
+    @pytest.mark.parametrize("window", [("1/2", "1/2"), ("3", "-3"), ("a", "3"), ("1/0", "2")])
+    def test_bad_window_names_it(self, window):
+        with pytest.raises(ValueError, match="window") as err:
+            gs.render_wire_svg(FIG1, window=window)
+        assert not isinstance(err.value, gs.GreenseqError)
 
     def test_marks_match_chords(self):
         q = gs.cycle_quiver(4)

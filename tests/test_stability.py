@@ -149,6 +149,17 @@ def test_criteria_reject_out_of_range_finite_modules(ij):
             fn(Z, m)
 
 
+def test_criteria_reject_module_of_another_quiver():
+    # slope and hom_dim refuse such a module; the criteria must too
+    Z = gs.make_charge(gs.affine_a("+--+"), [1, 2, -1, 3], [1, 1, 1, 1])
+    m = gs.string_module(KRON, 0, 1)
+    with pytest.raises(ValueError):
+        gs.slope(Z, m)
+    for fn in CRITERIA:
+        with pytest.raises(ValueError, match="different quiver"):
+            fn(Z, m)
+
+
 class TestStableSet:
     def test_figure1(self):
         got = {(m.i, m.j) for m in gs.stable_set(FIG1)}
