@@ -32,11 +32,15 @@ RationalLike = Fraction | int | str
 
 
 def as_fraction(v: RationalLike) -> Fraction:
+    """An exact rational from a Fraction, an int or a string such as
+    ``"-3"``, ``"7/4"`` or ``"0.25"``.  Strings with an exponent are
+    refused: ``"1e100000"`` alone would expand to a 332,193-bit integer,
+    while plain digit runs are already bounded by Python's int limit."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
-    if isinstance(v, str):
+    if isinstance(v, str) and "e" not in v and "E" not in v:
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError):

@@ -28,6 +28,7 @@ from .quivers import MINUS, PLUS, Quiver, QuiverKind, affine_a
 from .stability import (
     SplicedPath,
     _chord,
+    _slope_pair,
     _wire,
     candidate_modules,
     modules_sorted,
@@ -123,7 +124,8 @@ def _certify(halves, target, err: type[Exception], what: str) -> None:
         raise err(f"{what}: stable set mismatch (missing {missing}, extra {extra})")
     for Z, members in halves:
         for m in members:
-            if not (_chord(Z, m.i, m.j, True) and _wire(Z, m.i, m.j, True)):
+            slope = _slope_pair(Z, m.i, m.j)
+            if not (_chord(Z, m.i, m.j, slope) > 0 and _wire(Z, m.i, m.j, slope) > 0):
                 raise err(f"{what}: criteria disagree on {m!r}")
 
 

@@ -189,13 +189,17 @@ def render_wire_svg(target, window=None) -> str:
         t_lo, t_hi = min(slopes) - 1, max(slopes) + 1
     else:
         t_lo, t_hi = F(-1), F(1)
-    breaks = sorted({t_lo, t_hi} | ({F(0)} if len(halves) > 1 else set()))
+    # a spliced path's wires kink at t = 0, if the window reaches it
+    kink = {F(0)} if len(halves) > 1 and t_lo < 0 < t_hi else set()
+    breaks = sorted({t_lo, t_hi} | kink)
     charges = [halves[-1][0] if t > 0 else halves[0][0] for t in breaks]
     idx_hi = max([q.n] + [m.j for m, _, _ in members])
     wires = [
         [(t, Z.wire_value(i, t)) for t, Z in zip(breaks, charges)] for i in range(idx_hi + 1)
     ]
     to_view = _viewport([p for wire in wires for p in wire])
+    # the viewport spans the window only: crossings outside it are left out
+    members = [e for e in members if t_lo <= e[2] <= t_hi]
 
     body = []
     for i, wire in enumerate(wires):

@@ -10,8 +10,9 @@ under a charge Z:
 * wire   - at the crossing abscissa of wires i and j, every intermediate
   positive wire passes above the crossing and every negative one below.
 
-All three are implemented on the exact integer context of the charge and
-are exposed separately; the fuzz entry point checks that they agree.
+All three are implemented on the exact integer context of the charge,
+each as one kernel that answers unstable, semistable or stable at once,
+and are exposed separately; the fuzz entry point checks that they agree.
 Stable sets, green sequences and splices do not run them: they read
 :func:`classify`, one integer sweep per charge that decides stability,
 semistability and the slope of every candidate at once.
@@ -76,13 +77,25 @@ def in_wall(x, m: StringModule) -> WallMembership:
 
 # ---------------------------------------------------------------------------
 # the three criteria
+#
+# Each kernel gives one verdict for M(i, j): -1 unstable, 0 semistable but
+# not stable, 1 stable.  It stops at the first negative sign and remembers
+# whether it saw a zero; the public wrappers read the verdict as >= 0
+# (semistable) or > 0 (stable).  All three test M(i, j) against its own
+# slope, which the caller computes once per module with _slope_pair and
+# passes in.
 
 
-def _oracle(Z: CentralCharge, i: int, j: int, strict: bool) -> bool:
+def _slope_pair(Z: CentralCharge, i: int, j: int) -> tuple[int, int]:
+    """slope(M(i, j)) as the integer pair (dy, dx) of Z's context, dx > 0."""
+    ctx = Z._ctx
+    return ctx.ya[j] - ctx.ya[i], ctx.xb[j] - ctx.xb[i]
+
+
+def _oracle(Z: CentralCharge, i: int, j: int, slope: tuple[int, int]) -> int:
     ctx = Z._ctx
     ya, xb, sig = ctx.ya, ctx.xb, ctx.sig
-    num = ya[j] - ya[i]
-    den = xb[j] - xb[i]
+    num, den = slope
     lefts = [i]
     rights = [j]
     for t in range(i + 1, j):
@@ -91,85 +104,94 @@ def _oracle(Z: CentralCharge, i: int, j: int, strict: bool) -> bool:
             lefts.append(t)
         else:
             rights.append(t)
+    verdict = 1
     for p in lefts:
         yp, xp = ya[p], xb[p]
         for r in rights:
             if p < r and (p != i or r != j):
                 # sign of slope(M(p,r)) - slope(M(i,j)), denominators > 0
                 value = (ya[r] - yp) * den - num * (xb[r] - xp)
-                if value < 0 or (strict and value == 0):
-                    return False
-    return True
+                if value <= 0:
+                    if value:
+                        return -1
+                    verdict = 0
+    return verdict
 
 
-def _criterion(kernel, Z: CentralCharge, m: StringModule, strict: bool) -> bool:
+def _criterion(kernel, Z: CentralCharge, m: StringModule) -> int:
     m = _check_owned(Z.quiver, m)  # the kernels index the context from 0
     Z._widen_ctx(m.j)
-    return kernel(Z, m.i, m.j, strict)
+    return kernel(Z, m.i, m.j, _slope_pair(Z, m.i, m.j))
 
 
 def is_semistable_oracle(Z: CentralCharge, m: StringModule) -> bool:
     """Every proper indecomposable submodule has slope >= slope(m)."""
-    return _criterion(_oracle, Z, m, strict=False)
+    return _criterion(_oracle, Z, m) >= 0
 
 
 def is_stable_oracle(Z: CentralCharge, m: StringModule) -> bool:
     """Every proper indecomposable submodule has slope > slope(m)."""
-    return _criterion(_oracle, Z, m, strict=True)
+    return _criterion(_oracle, Z, m) > 0
 
 
-def _chord(Z: CentralCharge, i: int, j: int, strict: bool) -> bool:
+def _chord(Z: CentralCharge, i: int, j: int, slope: tuple[int, int]) -> int:
     ctx = Z._ctx
     ya, xb, sig = ctx.ya, ctx.xb, ctx.sig
     yi, xi = ya[i], xb[i]
-    dy = ya[j] - yi
-    dx = xb[j] - xi
+    dy, dx = slope
+    verdict = 1
     for k in range(i + 1, j):
         # cross product: + when the dual vertex p_k lies above the chord
         s = dx * (ya[k] - yi) - dy * (xb[k] - xi)
         if sig[k] == MINUS:
             s = -s
-        if s < 0 or (strict and s == 0):
-            return False
-    return True
+        if s <= 0:
+            if s:
+                return -1
+            verdict = 0
+    return verdict
 
 
 def is_semistable_chord(Z: CentralCharge, m: StringModule) -> bool:
     """Intermediate positive vertices on/above the chord, negative on/below."""
-    return _criterion(_chord, Z, m, strict=False)
+    return _criterion(_chord, Z, m) >= 0
 
 
 def is_stable_chord(Z: CentralCharge, m: StringModule) -> bool:
     """Semistable with no dual vertex on the open chord (strict sides)."""
-    return _criterion(_chord, Z, m, strict=True)
+    return _criterion(_chord, Z, m) > 0
 
 
-def _wire(Z: CentralCharge, i: int, j: int, strict: bool) -> bool:
+def _wire(Z: CentralCharge, i: int, j: int, slope: tuple[int, int]) -> int:
     ctx = Z._ctx
     ya, xb, sig = ctx.ya, ctx.xb, ctx.sig
     yi, xi = ya[i], xb[i]
+    dy, dx = slope
     # crossing abscissa t = t_num / t_den of wires i and j, unreduced; t_den > 0
-    t_num = (ya[j] - yi) * ctx.lb
-    t_den = (xb[j] - xi) * ctx.la
+    t_num = dy * ctx.lb
+    t_den = dx * ctx.la
     la_num = t_num * ctx.la
     lb_den = t_den * ctx.lb
+    verdict = 1
     for k in range(i + 1, j):
         # sign of f_k(t) - f_i(t) after clearing the two scale factors
         s = (ya[k] - yi) * lb_den - la_num * (xb[k] - xi)
         if sig[k] == MINUS:
             s = -s
-        if s < 0 or (strict and s == 0):
-            return False
-    return True
+        if s <= 0:
+            if s:
+                return -1
+            verdict = 0
+    return verdict
 
 
 def is_semistable_wire(Z: CentralCharge, m: StringModule) -> bool:
     """Positive wires pass on/over the crossing of wires i, j; negative under."""
-    return _criterion(_wire, Z, m, strict=False)
+    return _criterion(_wire, Z, m) >= 0
 
 
 def is_stable_wire(Z: CentralCharge, m: StringModule) -> bool:
-    return _criterion(_wire, Z, m, strict=True)
+    return _criterion(_wire, Z, m) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -397,24 +419,26 @@ def random_charge(q: Quiver, rng: XorShift64Star, max_den: int = 64) -> CentralC
 
 
 def equivalence_mismatches(Z: CentralCharge) -> list[dict]:
-    """Candidates where oracle, chord and wire disagree (should be none)."""
+    """Candidates where oracle, chord and wire disagree (should be none);
+    each record gives the three verdicts as -1/0/1."""
     out = []
+    ctx = Z._ctx
+    ya, xb = ctx.ya, ctx.xb
     for i, j in candidate_pairs(Z.quiver):
-        for strict in (False, True):
-            o = _oracle(Z, i, j, strict)
-            c = _chord(Z, i, j, strict)
-            w = _wire(Z, i, j, strict)
-            if not (o == c == w):
-                out.append(
-                    {
-                        "module": {"i": i, "j": j},
-                        "strict": strict,
-                        "oracle": o,
-                        "chord": c,
-                        "wire": w,
-                        "charge": Z.to_json(),
-                    }
-                )
+        slope = (ya[j] - ya[i], xb[j] - xb[i])  # _slope_pair, inlined
+        o = _oracle(Z, i, j, slope)
+        c = _chord(Z, i, j, slope)
+        w = _wire(Z, i, j, slope)
+        if not (o == c == w):
+            out.append(
+                {
+                    "module": {"i": i, "j": j},
+                    "oracle": o,
+                    "chord": c,
+                    "wire": w,
+                    "charge": Z.to_json(),
+                }
+            )
     return out
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import greenseq as gs
 from greenseq.quivers import _module
-from greenseq.stability import _oracle
+from greenseq.stability import _oracle, _slope_pair
 from conftest import affine_quivers, affine_words, cycle_quivers, finite_quivers
 from intertwiner import hom_dim_intertwiner
 
@@ -176,7 +176,7 @@ def _long_stable_exists(Z):
         for d in range(2 * n, 4 * n):
             if q.sign(i) == q.sign(i + d) and d >= n:
                 continue
-            if _oracle(Z, i, i + d, strict=True):
+            if _oracle(Z, i, i + d, _slope_pair(Z, i, i + d)) > 0:
                 return True
     return False
 

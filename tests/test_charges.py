@@ -41,7 +41,10 @@ class TestMakeCharge:
         Z = gs.make_charge(gs.finite_a("-+"), ["1/2", "3/2", -2], [1, 1, 1])
         assert gs.charge_from_json(Z.quiver, Z.to_json()) == Z
 
-    @pytest.mark.parametrize("value", [True, False, "1/0", "abc", 0.5, None, [1]])
+    # exponent strings are refused: "1e100000" alone is a 332,193-bit integer
+    @pytest.mark.parametrize(
+        "value", [True, False, "1/0", "abc", 0.5, None, [1], "1e100000", "2.5E-3"]
+    )
     def test_rejects_non_rationals(self, value):
         with pytest.raises(gs.InvalidCharge):
             gs.make_charge(KRON, [value, 1], [1, 1])

@@ -67,7 +67,8 @@ class TestBasics:
 class TestChargeValidation:
     @pytest.mark.parametrize(
         "charge",
-        ['{"a":[1,2]}', '{"a":["1/0",1],"b":[1,1]}', "[1,2]", '{"a":[true,1],"b":[1,1]}'],
+        ['{"a":[1,2]}', '{"a":["1/0",1],"b":[1,1]}', "[1,2]", '{"a":[true,1],"b":[1,1]}',
+         '{"a":["1e100000",1],"b":[1,1]}'],
     )
     @pytest.mark.parametrize("command", ["stable-set", "mgs"])
     def test_malformed_charge_is_json_exit1(self, capsys, command, charge):
@@ -153,7 +154,9 @@ class TestSubcommands:
         assert json.loads(err)["error"] == "os-error"
         assert str(out_file) in json.loads(err)["message"]
 
-    @pytest.mark.parametrize("mode, window", [("chord", ("2", "2")), ("wire", ("a", "3"))])
+    @pytest.mark.parametrize(
+        "mode, window", [("chord", ("2", "2")), ("wire", ("a", "3")), ("wire", ("1e9", "2e9"))]
+    )
     def test_render_bad_window(self, capsys, mode, window):
         code, _, err = run(
             capsys, "render", mode, "--quiver", "A:-+", "--charge", FIG1_CHARGE,
@@ -198,6 +201,22 @@ class TestVerify:
         _, serial, _ = run(capsys, *base)
         _, parallel, _ = run(capsys, *base, "--jobs", "2")
         assert serial == parallel
+
+    def test_mismatch_exits_1_with_record(self, capsys, monkeypatch):
+        q = gs.finite_a("-+")
+        fig1 = gs.charge_from_json(q, json.loads(FIG1_CHARGE))
+        wire = gs.stability._wire
+        monkeypatch.setattr(gs.stability, "random_charge", lambda q, rng, max_den: fig1)
+        monkeypatch.setattr(
+            gs.stability, "_wire",
+            lambda Z, i, j, slope: 0 if (i, j) == (1, 3) else wire(Z, i, j, slope),
+        )
+        code, out, _ = run(capsys, "verify", "--quiver", "A:-+", "--trials", "1", "--json")
+        assert code == 1
+        assert json.loads(out)["mismatches"] == [
+            {"module": {"i": 1, "j": 3}, "oracle": 1, "chord": 1, "wire": 0,
+             "charge": fig1.to_json(), "trial": 0}
+        ]
 
     def test_jobs_capped_at_trials(self, capsys, monkeypatch):
         """A pool forks all its workers up front: --jobs beyond the trial

@@ -187,7 +187,7 @@ class TestCertifier:
         assert f"extra [{dropped!r}]" in message
 
     def test_kernel_disagreement_raises(self, monkeypatch):
-        monkeypatch.setattr(linearity, "_wire", lambda Z, i, j, strict: False)
+        monkeypatch.setattr(linearity, "_wire", lambda Z, i, j, slope: -1)
         q = gs.affine_a("+++---")
         with pytest.raises(gs.WitnessSearchFailed, match="criteria disagree"):
             gs.witness_spliced(q, 2, 5)
@@ -195,7 +195,7 @@ class TestCertifier:
             gs.reineke_charge(gs.finite_a("-+-+"))
 
     def test_linear_search_exhausted(self, monkeypatch):
-        monkeypatch.setattr(linearity, "_wire", lambda Z, i, j, strict: False)
+        monkeypatch.setattr(linearity, "_wire", lambda Z, i, j, slope: -1)
         with pytest.raises(gs.WitnessSearchFailed, match="failed at every eps"):
             gs.witness_linear(gs.affine_a("+++---"), 1, 4)
 

@@ -32,7 +32,7 @@ class TestBuildSkl:
                 assert len(gs.build_Skl(q, k, l)) == comb(q.n, 2) + q.a * q.b
 
     def test_members_exceptional(self):
-        for q in affine_quivers(5):
+        for q in affine_quivers(7):
             for k, l in gs.valid_pairs(q):
                 assert all(m.is_exceptional for m in gs.build_Skl(q, k, l).modules)
 

@@ -111,6 +111,19 @@ class TestWire:
         assert crossings(svg) == 5
         ET.fromstring(svg)
 
+    def test_window_leaves_out_outside_crossings(self):
+        # of the five stable slopes of Figure 1 only M(1,3)'s, -1/4, lies in [-1, 0]
+        svg = gs.render_wire_svg(FIG1, window=("-1", "0"))
+        assert re.findall(r'class="stable-crossing" data-module="([^"]+)"', svg) == ["1,3"]
+        for cx in re.findall(r'class="stable-crossing"[^>]* cx="([^"]+)"', svg):
+            assert 0 <= float(cx) <= 960
+
+    def test_spliced_window_without_zero_has_no_kink(self):
+        p = gs.witness_spliced(gs.affine_a("+--"), 1, 2)
+        svg = gs.render_wire_svg(p, window=("1", "3"))
+        wires = re.findall(r'class="wire"[^>]* points="([^"]+)"', svg)
+        assert wires and all(len(points.split()) == 2 for points in wires)
+
     @pytest.mark.parametrize("window", [("1/2", "1/2"), ("3", "-3"), ("a", "3"), ("1/0", "2")])
     def test_bad_window_names_it(self, window):
         with pytest.raises(ValueError, match="window") as err:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greenseq as gs
+from greenseq import stability
 from greenseq.quivers import _module
 from greenseq.stability import candidate_pairs, equivalence_mismatches
 
@@ -271,6 +272,36 @@ class TestCriterionAgreement:
     def test_mismatch_reporting_shape(self):
         Z = kron(0, 1)
         assert equivalence_mismatches(Z) == []
+
+    def test_mismatch_record(self, monkeypatch):
+        # M(1,3) is stable under FIG1; a wire kernel that calls it only
+        # semistable must come back as one record with the three verdicts
+        wire = stability._wire
+        monkeypatch.setattr(
+            stability, "_wire",
+            lambda Z, i, j, slope: 0 if (i, j) == (1, 3) else wire(Z, i, j, slope),
+        )
+        bad = equivalence_mismatches(FIG1)
+        assert bad == [
+            {"module": {"i": 1, "j": 3}, "oracle": 1, "chord": 1, "wire": 0,
+             "charge": FIG1.to_json()}
+        ]
+
+    def test_one_kernel_call_per_criterion_and_candidate(self, monkeypatch):
+        calls = []
+        for name in ("_oracle", "_chord", "_wire"):
+            kernel = getattr(stability, name)
+
+            def counted(Z, i, j, slope, kernel=kernel, name=name):
+                calls.append(name)
+                return kernel(Z, i, j, slope)
+
+            monkeypatch.setattr(stability, name, counted)
+        Z = gs.random_charge(gs.affine_a("-++--"), gs.XorShift64Star(5))
+        assert equivalence_mismatches(Z) == []
+        n = len(candidate_pairs(Z.quiver))
+        assert len(calls) == 3 * n
+        assert all(calls.count(name) == n for name in ("_oracle", "_chord", "_wire"))
 
 
 @settings(max_examples=50, deadline=None)
