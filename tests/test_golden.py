@@ -3,9 +3,11 @@
 Each case is one ``greenseq`` command line; ``golden/cli.json`` holds its
 exit code, stdout and stderr.  Together the cases cover chord and wire
 renders (finite, windowed, spliced and infinite charges), the JSON
-forms of ``stable-set`` and ``mgs``, and the witness constructors
+forms of ``stable-set`` and ``mgs``, the witness constructors
 (``witness``, ``reineke``, ``dn-charge``) with ``linearity`` and
-``maxsets``, refusals included.
+``maxsets``, refusals included, and ``quiver``, ``collapse`` and
+``verify``.  Cases named ``*-text`` run without ``--json`` and pin the
+human tables.
 
 To record the file again (only from a build whose outputs are trusted):
 
@@ -81,6 +83,18 @@ def cases() -> dict[str, list[str]]:
     out["dn-charge"] = ["dn-charge", "--json", "--quiver", "Dcyc:5", "--k", "2"]
     out["linearity"] = ["linearity", "--json", "--quiver", AT6, "--k", "2", "--l", "5"]
     out["maxsets"] = ["maxsets", "--json", "--quiver", AT6]
+    out["quiver"] = ["quiver", "--json", "--quiver", AT5]
+    out["collapse"] = ["collapse", "--json", "--quiver", AT5, "--arrows", "1",
+                       "--k", "2", "--l", "4"]
+    out["verify"] = ["verify", "--json", "--quiver", "A:-+", "--quiver", "Dcyc:4",
+                     "--trials", "3", "--seed", "7"]
+    # the human forms of the same commands
+    out["stable-set-A-semi-text"] = ["stable-set", "--semistable", "--quiver", FIG1[0],
+                                     "--charge", FIG1[1]]
+    out["mgs-A-text"] = ["mgs", "--quiver", FIG1[0], "--charge", FIG1[1]]
+    for name in ("witness-14", "witness-25", "reineke", "dn-charge", "linearity", "maxsets",
+                 "quiver", "collapse", "verify"):
+        out[f"{name}-text"] = [arg for arg in out[name] if arg != "--json"]
     return out
 
 
