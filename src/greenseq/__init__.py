@@ -20,7 +20,6 @@ from .charges import (
     make_charge,
     normalize,
     slope,
-    standard_charge,
 )
 from .collapse import ProjectionMap, collapse, project_charge, project_module, project_set
 from .errors import (

@@ -180,10 +180,6 @@ def charge_from_json(q: Quiver, data: dict) -> CentralCharge:
     return make_charge(q, data["a"], data["b"])
 
 
-def standard_charge(q: Quiver, a) -> CentralCharge:
-    return make_charge(q, a, [1] * q.n)
-
-
 def slope(Z: CentralCharge, m: StringModule) -> Fraction:
     """Slope of a module: (a . dim)/(b . dim), exact."""
     if m.quiver != Z.quiver:

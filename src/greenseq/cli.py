@@ -27,14 +27,7 @@ from .linearity import (
 from .maxsets import build_Skl, enumerate_max_sets, max_mgs_length
 from .quivers import parse_quiver
 from .render import render_chord_svg, render_wire_svg
-from .stability import (
-    SplicedPath,
-    fuzz_quiver,
-    mgs,
-    modules_sorted,
-    spliced_stable_set,
-    stable_set,
-)
+from .stability import SplicedPath, fuzz_quiver, halves, mgs, modules_sorted, stable_set
 
 
 def _charge_arg(q, text: str):
@@ -67,7 +60,7 @@ def cmd_quiver(args) -> int:
 def cmd_stable_set(args) -> int:
     q = parse_quiver(args.quiver)
     Z = _charge_arg(q, args.charge)
-    rows = [(m, s) for m, s, stable in Z._classes if stable or args.semistable]
+    [(_, rows)] = halves(Z, include_semistable=args.semistable)
     payload = {
         "modules": [{"i": m.i, "j": m.j, "slope": str(s)} for m, s in rows],
         "ordered": False,
@@ -120,20 +113,13 @@ def cmd_witness(args) -> int:
     kind = args.kind
     if kind == "auto":
         kind = "linear" if is_linear_set(q, args.k, args.l).linear else "spliced"
-    if kind == "linear":
-        Z = witness_linear(q, args.k, args.l)
-        count = len(stable_set(Z))
-        payload = {"kind": "linear", "Z": Z.to_json(), "Zprime": None,
-                   "verified": True, "stable_count": count}
-        lines = [f"linear witness, {count} stable modules", json.dumps(Z.to_json())]
-    else:
-        path = witness_spliced(q, args.k, args.l)
-        count = len(spliced_stable_set(path))
-        payload = {"kind": "spliced", "Z": path.z.to_json(),
-                   "Zprime": path.z_prime.to_json(), "verified": True,
-                   "stable_count": count}
-        lines = [f"spliced witness, {count} stable modules",
-                 json.dumps(path.z.to_json()), json.dumps(path.z_prime.to_json())]
+    build = witness_linear if kind == "linear" else witness_spliced
+    parts = halves(build(q, args.k, args.l))
+    charges = [Z.to_json() for Z, _ in parts]
+    count = sum(len(members) for _, members in parts)
+    payload = {"kind": kind, "Z": charges[0], "Zprime": charges[1] if len(charges) > 1 else None,
+               "verified": True, "stable_count": count}
+    lines = [f"{kind} witness, {count} stable modules"] + [json.dumps(c) for c in charges]
     _emit(args, lines, payload)
     return 0
 
@@ -158,11 +144,13 @@ def cmd_dn_charge(args) -> int:
 
 def cmd_collapse(args) -> int:
     q = parse_quiver(args.quiver)
+    if (args.k is None) != (args.l is None):
+        raise ValueError("collapse projects S(k,l) only when given both --k and --l")
     arrows = [int(x) for x in args.arrows.split(",") if x.strip()]
     p = collapse(q, arrows)
     payload = p.to_json()
     lines = [f"{q.label()} --{sorted(arrows)}--> {p.target.label()}"]
-    if args.k is not None and args.l is not None:
+    if args.k is not None:
         image = project_set(p, build_Skl(q, args.k, args.l).modules)
         payload["projected_Skl"] = [m.to_json() for m in modules_sorted(image)]
         lines.append("projected S(k,l): " +

@@ -31,9 +31,8 @@ from .stability import (
     _slope_pair,
     _wire,
     candidate_modules,
+    halves,
     modules_sorted,
-    spliced_halves,
-    stable_set,
 )
 
 F = Fraction
@@ -109,21 +108,22 @@ def _through(q: Quiver, k: int, xs, ys) -> CentralCharge:
     return make_charge(q, a, b)
 
 
-def _certify(halves, target, err: type[Exception], what: str) -> None:
-    """Raise ``err`` unless the members of the ``(charge, members)``
-    halves are exactly ``target`` and the chord and wire criteria both
-    call each member stable under its own charge.
+def _certify(path, target, err: type[Exception], what: str) -> None:
+    """Raise ``err`` unless the stable set of ``path``, a charge or a
+    spliced path, is exactly ``target`` and the chord and wire criteria
+    both call each member stable under the charge that rules it.
 
     Members come from their charge's sweep, so they are canonical and
     inside its integer context: the kernels run on them directly.
     """
-    got = frozenset().union(*(members for _, members in halves))
+    parts = halves(path)
+    got = frozenset(m for _, members in parts for m, _ in members)
     if got != target:
         missing = modules_sorted(target - got)
         extra = modules_sorted(got - target)
         raise err(f"{what}: stable set mismatch (missing {missing}, extra {extra})")
-    for Z, members in halves:
-        for m in members:
+    for Z, members in parts:
+        for m, _ in members:
             slope = _slope_pair(Z, m.i, m.j)
             if not (_chord(Z, m.i, m.j, slope) > 0 and _wire(Z, m.i, m.j, slope) > 0):
                 raise err(f"{what}: criteria disagree on {m!r}")
@@ -141,17 +141,19 @@ def reineke_charge(q: Quiver) -> CentralCharge:
         raise InvalidQuiver("the all-stable construction applies to A_n")
     n = q.n
     target = frozenset(candidate_modules(q))
+    last_err: Exception | None = None
     for scale in (1, 2, 3):
         heights = [0] * (n + 1)
         for s in range(1, n):
             h = s * (n - s)
             heights[s] = h * scale if q.sign(s) == PLUS else -h
         Z = _through(q, 0, range(n + 1), heights)
-        got = stable_set(Z)
-        if got == target:
-            _certify([(Z, got)], target, VerificationFailed, "all-stable charge")
+        try:
+            _certify(Z, target, VerificationFailed, "all-stable charge")
             return Z
-    raise VerificationFailed(f"no all-stable charge found for {q.label()}")
+        except VerificationFailed as err:
+            last_err = err
+    raise VerificationFailed(f"no all-stable charge found for {q.label()}: {last_err}")
 
 
 def dn_charge(q: Quiver, k: int) -> CentralCharge:
@@ -167,7 +169,7 @@ def dn_charge(q: Quiver, k: int) -> CentralCharge:
     n = q.n
     ys = [-((2 * k + n - 2 * j) ** 2) for j in range(k + n + 1)]
     Z = _through(q, k, range(k + n + 1), ys)
-    _certify([(Z, stable_set(Z))], target, VerificationFailed, f"S({k}) charge")
+    _certify(Z, target, VerificationFailed, f"S({k}) charge")
     return Z
 
 
@@ -257,7 +259,7 @@ def witness_linear(q: Quiver, k: int, l: int) -> CentralCharge:
         else:
             Z = _cond2_charge(q, k, l, eps)
         try:
-            _certify([(Z, stable_set(Z))], target, VerificationFailed, f"S({k},{l}) witness")
+            _certify(Z, target, VerificationFailed, f"S({k},{l}) witness")
             return Z
         except (VerificationFailed, InfiniteStableSet) as err:
             last_err = err
@@ -310,9 +312,7 @@ def witness_spliced(q: Quiver, k: int, l: int) -> SplicedPath:
     """A verified spliced path whose stable set is exactly S(k, l)."""
     target = build_Skl(q, k, l).modules
     path = SplicedPath(_spliced_charge(q, k, l, F(0)), _spliced_charge(q, k, l, F(10)))
-    neg, pos = spliced_halves(path)
-    _certify([(path.z, neg), (path.z_prime, pos)], target, WitnessSearchFailed,
-             f"spliced witness for S({k},{l}) on {q.label()}")
+    _certify(path, target, WitnessSearchFailed, f"spliced witness for S({k},{l}) on {q.label()}")
     return path
 
 

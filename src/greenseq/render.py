@@ -7,8 +7,8 @@ once, as 12-significant-digit decimals, purely for emission.  Identical
 inputs produce byte-identical documents.
 
 Both renderers take a charge or a spliced path and draw it from
-:func:`_halves`: one (charge, stable slopes) pair for a charge, two for
-a spliced path.
+:func:`stability.halves`: one (charge, stable modules) pair for a
+charge, two for a spliced path.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ from fractions import Fraction
 from .charges import CentralCharge, as_fraction
 from .errors import InfiniteStableSet
 from .quivers import MINUS, PLUS, QuiverKind, StringModule, canonicalize
-from .stability import (
-    SplicedPath,
-    candidate_modules,
-    is_stable_oracle,
-    modules_sorted,
-    spliced_halves,
-)
+from .stability import candidate_modules, halves, is_stable_oracle, modules_sorted
 
 F = Fraction
 
@@ -76,14 +70,6 @@ def _doc(body: list[str]) -> str:
     return head + "\n".join(body) + "\n</svg>\n"
 
 
-def _halves(target) -> list[tuple[CentralCharge, dict[StringModule, Fraction]]]:
-    """(charge, {stable module: slope}) per half of the path: one pair for
-    a charge, the negative- and positive-slope halves of a spliced path."""
-    if isinstance(target, SplicedPath):
-        return list(zip((target.z, target.z_prime), spliced_halves(target)))
-    return [(target, {m: s for m, s, stable in target._classes if stable})]
-
-
 def _bounds(window, parse) -> tuple:
     """The window (T0, T1) parsed, or a ValueError that names it."""
     try:
@@ -103,15 +89,15 @@ def _chord_modules(q, window) -> list[StringModule]:
     return [m for m in mods if q.kind is not QuiverKind.AFFINE_A or m.is_exceptional]
 
 
-def _chord_panel(Z: CentralCharge, slopes, mods, view: dict) -> list[str]:
+def _chord_panel(Z: CentralCharge, members, mods, view: dict) -> list[str]:
     """Chords, boundary chains and vertices of Z, read from ``view``, its
-    vertices in the viewport; ``slopes`` None decides each chord alone."""
+    vertices in the viewport; ``members`` None decides each chord alone."""
     q = Z.quiver
     body = []
     # candidate chords: solid when stable, dashed otherwise
     for m in mods:
         (x1, y1), (x2, y2) = view[m.i], view[m.j]
-        stable = is_stable_oracle(Z, m) if slopes is None else canonicalize(q, m) in slopes
+        stable = is_stable_oracle(Z, m) if members is None else canonicalize(q, m) in members
         cls = "chord stable" if stable else "chord unstable"
         width = _STABLE_WIDTH if stable else _UNSTABLE_WIDTH
         dash = "" if stable else f' stroke-dasharray="{_DASH}"'
@@ -148,15 +134,14 @@ def render_chord_svg(target, window=None) -> str:
     in the integer ``window`` (T0, T1).  A spliced path draws one panel
     per half, side by side in one viewport."""
     try:
-        halves = _halves(target)
+        # sets for the membership test per chord
+        parts = [(Z, {m for m, _ in members}) for Z, members in halves(target)]
     except InfiniteStableSet:
-        if not isinstance(target, CentralCharge):
-            raise
-        halves = [(target, None)]  # no finite stable set to look up
-    mods = _chord_modules(halves[0][0].quiver, window)
+        parts = [(target, None)]  # no finite stable set to look up
+    mods = _chord_modules(parts[0][0].quiver, window)
     ts = range(min(m.i for m in mods), max(m.j for m in mods) + 1)
     panels = []
-    for Z, _ in halves:
+    for Z, _ in parts:
         pts = [Z.dual_vertex(t) for t in ts]
         if panels:
             # start right of the previous panel, a tenth of its width apart
@@ -166,9 +151,9 @@ def render_chord_svg(target, window=None) -> str:
         panels.append(pts)
     to_view = _viewport([p for pts in panels for p in pts])
     body = []
-    for (Z, slopes), pts in zip(halves, panels):
+    for (Z, members), pts in zip(parts, panels):
         view = {t: to_view(x, y) for t, (x, y) in zip(ts, pts)}
-        body += _chord_panel(Z, slopes, mods, view)
+        body += _chord_panel(Z, members, mods, view)
     return _doc(body)
 
 
@@ -176,23 +161,22 @@ def render_wire_svg(target, window=None) -> str:
     """Wire diagram with stable crossings marked, over the rational
     ``window`` (T0, T1) of t or around every stable slope.  A spliced path
     follows its second charge for t > 0, so its wires kink at slope 0."""
-    halves = _halves(target)
-    q = halves[0][0].quiver
+    parts = halves(target)
+    q = parts[0][0].quiver
     members = sorted(
-        ((m, Z, s) for Z, slopes in halves for m, s in slopes.items()),
+        ((m, Z, s) for Z, half in parts for m, s in half),
         key=lambda e: (e[0].i, e[0].j),
     )
-    slopes = [s for _, _, s in members]
     if window is not None:
         t_lo, t_hi = _bounds(window, as_fraction)
-    elif slopes:
-        t_lo, t_hi = min(slopes) - 1, max(slopes) + 1
     else:
-        t_lo, t_hi = F(-1), F(1)
+        # never empty: every simple module is stable, in one half or the other
+        slopes = [s for _, _, s in members]
+        t_lo, t_hi = min(slopes) - 1, max(slopes) + 1
     # a spliced path's wires kink at t = 0, if the window reaches it
-    kink = {F(0)} if len(halves) > 1 and t_lo < 0 < t_hi else set()
+    kink = {F(0)} if len(parts) > 1 and t_lo < 0 < t_hi else set()
     breaks = sorted({t_lo, t_hi} | kink)
-    charges = [halves[-1][0] if t > 0 else halves[0][0] for t in breaks]
+    charges = [parts[-1][0] if t > 0 else parts[0][0] for t in breaks]
     idx_hi = max([q.n] + [m.j for m, _, _ in members])
     wires = [
         [(t, Z.wire_value(i, t)) for t, Z in zip(breaks, charges)] for i in range(idx_hi + 1)

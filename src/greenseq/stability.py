@@ -326,27 +326,30 @@ class GreenSequence:
         }
 
 
-def _sorted_generic(Z: CentralCharge, keep) -> list[tuple[StringModule, Fraction]]:
-    """Slope-sort the stable modules, refusing ties and strict semistables."""
-    kept = [(m, s, stable) for m, s, stable in Z._classes if keep(s)]
-    strict = [m for m, _, stable in kept if not stable]
-    if strict:
-        raise NonGeneric("strict-semistable", strict)
-    # floor(s * 2**64) orders like s but compares as a plain int; only
-    # equal floors fall through to comparing the Fractions themselves
-    entries = sorted(
-        ((m, s) for m, s, _ in kept),
-        key=lambda e: ((e[1].numerator << 64) // e[1].denominator, e[1], e[0].i, e[0].j),
-    )
-    for (m1, s1), (m2, s2) in zip(entries, entries[1:]):
-        if s1 == s2:
-            raise NonGeneric("tie", [m1, m2])
-    return entries
+def _green(target) -> GreenSequence:
+    """Slope-sort the stable modules of each half of a charge or spliced
+    path, refusing strict semistables and ties."""
+    entries = []
+    for _, classes in _pieces(target):
+        strict = [m for m, _, stable in classes if not stable]
+        if strict:
+            raise NonGeneric("strict-semistable", strict)
+        # floor(s * 2**64) orders like s but compares as a plain int; only
+        # equal floors fall through to comparing the Fractions themselves
+        half = sorted(
+            ((m, s) for m, s, _ in classes),
+            key=lambda e: ((e[1].numerator << 64) // e[1].denominator, e[1], e[0].i, e[0].j),
+        )
+        for (m1, s1), (m2, s2) in zip(half, half[1:]):
+            if s1 == s2:
+                raise NonGeneric("tie", [m1, m2])
+        entries += half
+    return GreenSequence(tuple(entries))
 
 
 def mgs(Z: CentralCharge) -> GreenSequence:
     """Maximal green sequence of a generic finite charge."""
-    return GreenSequence(tuple(_sorted_generic(Z, lambda s: True)))
+    return _green(Z)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +361,8 @@ class SplicedPath:
     """Two charges sharing the a-vector, glued at slope 0.
 
     The first charge rules the negative-slope half of the path, the
-    second the positive-slope half.
+    second the positive-slope half.  Both must be finite with no
+    semistable module of slope 0; a path is checked when it is built.
     """
 
     z: CentralCharge
@@ -369,43 +373,48 @@ class SplicedPath:
             raise SpliceInvalid("spliced charges must live on the same quiver")
         if self.z.a != self.z_prime.a:
             raise SpliceInvalid("spliced charges must share the a-vector")
+        for tag, Z in (("first charge", self.z), ("second charge", self.z_prime)):
+            for m, s, _ in Z._classes:
+                if s == 0:
+                    raise SpliceInvalid(f"{tag} has a semistable module of slope 0: {m!r}")
 
 
-def _check_no_slope_zero(Z: CentralCharge, tag: str) -> None:
-    for m, s, _ in Z._classes:
-        if s == 0:
-            raise SpliceInvalid(f"{tag} has a semistable module of slope 0: {m!r}")
+def _pieces(target) -> tuple:
+    """(charge, its semistable candidates as (module, slope, is_stable))
+    per half of a charge or a spliced path; see :func:`halves`."""
+    if isinstance(target, SplicedPath):
+        return (
+            (target.z, [c for c in target.z._classes if c[1] < 0]),
+            (target.z_prime, [c for c in target.z_prime._classes if c[1] > 0]),
+        )
+    return ((target, target._classes),)
 
 
-def spliced_halves(
-    p: SplicedPath, include_semistable: bool = False
-) -> tuple[dict[StringModule, Fraction], dict[StringModule, Fraction]]:
-    """Stable (with the flag: semistable) modules and their slopes, of
-    negative slope under z and of positive slope under z_prime.  The two
-    charges share the a-vector, so the signs of slopes agree under both."""
-    _check_no_slope_zero(p.z, "first charge")
-    _check_no_slope_zero(p.z_prime, "second charge")
-    return (
-        {m: s for m, s, st in p.z._classes if s < 0 and (st or include_semistable)},
-        {m: s for m, s, st in p.z_prime._classes if s > 0 and (st or include_semistable)},
-    )
+def halves(
+    target, include_semistable: bool = False
+) -> list[tuple[CentralCharge, list[tuple[StringModule, Fraction]]]]:
+    """Stable (with the flag: semistable) modules and their slopes, as
+    ``(charge, [(module, slope), ...])`` per charge of ``target``, in
+    (i, j) order.  A charge gives one pair.  A spliced path gives two: the
+    negative-slope members of z and the positive-slope members of z_prime.
+    The two charges share the a-vector, so a module's slope has the same
+    sign under both and no module is in both halves."""
+    return [
+        (Z, [(m, s) for m, s, stable in classes if stable or include_semistable])
+        for Z, classes in _pieces(target)
+    ]
 
 
 def spliced_stable_set(
     p: SplicedPath, include_semistable: bool = False
 ) -> frozenset[StringModule]:
     """Union of the negative-slope part of z and the positive-slope part
-    of z_prime; both halves must be free of slope-0 semistables."""
-    neg, pos = spliced_halves(p, include_semistable)
-    return frozenset(neg.keys() | pos.keys())
+    of z_prime."""
+    return frozenset(m for _, members in halves(p, include_semistable) for m, _ in members)
 
 
 def spliced_mgs(p: SplicedPath) -> GreenSequence:
-    _check_no_slope_zero(p.z, "first charge")
-    _check_no_slope_zero(p.z_prime, "second charge")
-    first = _sorted_generic(p.z, lambda s: s < 0)
-    second = _sorted_generic(p.z_prime, lambda s: s > 0)
-    return GreenSequence(tuple(first + second))
+    return _green(p)
 
 
 # ---------------------------------------------------------------------------

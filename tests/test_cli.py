@@ -135,6 +135,14 @@ class TestSubcommands:
         assert data["target"]["signs"] == "++--"
         assert len(data["projected_Skl"]) == gs.max_mgs_length(gs.affine_a("++--"))
 
+    @pytest.mark.parametrize("given", [("--k", "2"), ("--l", "4")])
+    def test_collapse_needs_both_k_and_l(self, capsys, given):
+        code, out, err = run(
+            capsys, "collapse", "--quiver", "At:-++--", "--arrows", "1", *given, "--json"
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "value-error"
+
     def test_render_to_file(self, capsys, tmp_path):
         out_file = tmp_path / "fig.svg"
         code, out, _ = run(

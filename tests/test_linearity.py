@@ -180,7 +180,7 @@ class TestCertifier:
         added = next(m for m in gs.candidate_modules(q) if m not in got)
         target = (got - {dropped}) | {added}
         with pytest.raises(gs.VerificationFailed) as err:
-            linearity._certify([(Z, got)], target, gs.VerificationFailed, "probe")
+            linearity._certify(Z, target, gs.VerificationFailed, "probe")
         message = str(err.value)
         assert message.startswith("probe: stable set mismatch")
         assert f"missing [{added!r}]" in message

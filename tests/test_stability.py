@@ -238,11 +238,14 @@ class TestSpliced:
             gs.SplicedPath(Z1, Z2)
 
     def test_slope_zero_semistable_rejected(self):
-        # normalized so that M(0,1) has slope exactly 0
+        # normalized so that M(0,1) has slope exactly 0; refused when built
         q = gs.affine_a("+-")
         Z = gs.make_charge(q, [0, 1], [1, 1])
         with pytest.raises(gs.SpliceInvalid):
-            gs.spliced_stable_set(gs.SplicedPath(Z, Z))
+            gs.SplicedPath(Z, Z)
+        infinite = gs.make_charge(q, [1, 0], [1, 1])  # no essential pair
+        with pytest.raises(gs.InfiniteStableSet):
+            gs.SplicedPath(infinite, infinite)
 
     def test_spliced_mgs_order(self):
         Z = gs.make_charge(KRON, [-1, 1], [1, 1])
@@ -355,11 +358,15 @@ def test_max_size_stable_sets_are_canonical():
 
 
 def test_spliced_include_semistable():
-    q = gs.affine_a("+--")
-    p = gs.witness_spliced(q, 1, 2)
-    stables = gs.spliced_stable_set(p)
+    # every slope is negative, and six modules are strictly semistable at -2
+    q = gs.affine_a("-++--")
+    Z = gs.make_charge(q, [-2, -2, -2, -2, -1], [1] * 5)
+    p = gs.SplicedPath(Z, Z)
+    stable = {(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)}
+    strict = {(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4)}
+    assert {(m.i, m.j) for m in gs.spliced_stable_set(p)} == stable
     semis = gs.spliced_stable_set(p, include_semistable=True)
-    assert stables <= semis
+    assert {(m.i, m.j) for m in semis} == stable | strict
 
 
 @settings(max_examples=150, deadline=None)
