@@ -26,7 +26,7 @@ from functools import cached_property
 from math import lcm
 
 from .errors import InvalidCharge, InvalidQuiver
-from .quivers import Quiver, QuiverKind, StringModule
+from .quivers import Quiver, QuiverKind, StringModule, canonicalize
 
 RationalLike = Fraction | int | str
 
@@ -100,9 +100,9 @@ class CentralCharge:
 
     @cached_property
     def _ctx(self) -> IntContext:
-        # 5n covers every enumeration window used downstream (the widest
-        # is the 4n finiteness scan starting below n).
-        span = self.quiver.n if self.quiver.kind is QuiverKind.FINITE_A else 5 * self.quiver.n
+        # 3n covers every candidate (i < n, length < 2n); a criterion
+        # asked about a longer module widens it first.
+        span = self.quiver.n if self.quiver.kind is QuiverKind.FINITE_A else 3 * self.quiver.n
         return IntContext(self, span)
 
     def _widen_ctx(self, t: int) -> None:
@@ -182,8 +182,7 @@ def charge_from_json(q: Quiver, data: dict) -> CentralCharge:
 
 def slope(Z: CentralCharge, m: StringModule) -> Fraction:
     """Slope of a module: (a . dim)/(b . dim), exact."""
-    if m.quiver != Z.quiver:
-        raise ValueError("module and charge live on different quivers")
+    canonicalize(Z.quiver, m)
     return Z.crossing_slope(m.i, m.j)
 
 

@@ -22,6 +22,7 @@ from .quivers import (
     QuiverKind,
     StringModule,
     affine_a,
+    canonicalize,
     cycle_quiver,
     string_module,
 )
@@ -79,8 +80,7 @@ def collapse(q: Quiver, arrows) -> ProjectionMap:
 
 def project_module(p: ProjectionMap, m: StringModule) -> StringModule | None:
     """Image of a module; None when an endpoint lies on a collapsed arrow."""
-    if m.quiver != p.source:
-        raise ValueError("module does not live on the source quiver")
+    canonicalize(p.source, m)
     if p.hits(m.i) or p.hits(m.j):
         return None
     return string_module(p.target, p.pi(m.i), p.pi(m.j))

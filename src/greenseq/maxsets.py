@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InvalidQuiver, VerificationFailed
-from .quivers import MINUS, PLUS, Quiver, QuiverKind, StringModule, _module, string_module
+from .quivers import MINUS, PLUS, Quiver, QuiverKind, StringModule, string_module
 
 
 @dataclass(frozen=True)
@@ -58,20 +58,21 @@ def build_Skl(q: Quiver, k: int, l: int) -> MaxSetDescriptor:
     n = q.n
     A = tuple(sorted({l} | {j for j in range(k + 1, k + n) if q.sign(j) == PLUS}))
     B = tuple(sorted({k} | {i for i in range(l - n + 1, l) if q.sign(i) == MINUS}))
-    # Every member is exceptional, so the unchecked _module suffices: two
-    # ends inside A (or inside B) lie less than n apart, and the two ends
-    # of a B x A pair that spans n or more have opposite signs.
+    # Every member is exceptional, so StringModule suffices without the
+    # exceptionality check of string_module: two ends inside A (or inside
+    # B) lie less than n apart, and the two ends of a B x A pair that
+    # spans n or more have opposite signs.
     mods: set[StringModule] = set()
     for idx, i in enumerate(A):
         for j in A[idx + 1 :]:
-            mods.add(_module(q, i, j))
+            mods.add(StringModule(q, i, j))
     for idx, i in enumerate(B):
         for j in B[idx + 1 :]:
-            mods.add(_module(q, i, j))
+            mods.add(StringModule(q, i, j))
     for i in B:
         for j in A:
-            mods.add(_module(q, min(i, j), max(i, j)))
-            mods.add(_module(q, min(i, j - n), max(i, j - n)))
+            mods.add(StringModule(q, min(i, j), max(i, j)))
+            mods.add(StringModule(q, min(i, j - n), max(i, j - n)))
     expected = max_mgs_length(q)
     if len(A) != q.a or len(B) != q.b or len(mods) != expected:
         raise VerificationFailed(

@@ -13,9 +13,9 @@ Three families are supported, written in the text syntax accepted by
 
 A string module ``M(i, j)`` (i < j) lives on the interval (i, j] of the
 universal cover; its dimension vector adds one basis vector for every
-residue class met by the interval.  For the cyclic families string
-modules are canonicalized so that 0 <= i < n, and module equality is
-equality of canonical forms.
+residue class met by the interval.  Building a :class:`StringModule`
+validates it and, for the cyclic families, shifts it so that
+0 <= i < n; module equality is equality of canonical forms.
 """
 
 from __future__ import annotations
@@ -174,11 +174,37 @@ def parse_quiver(spec: str) -> Quiver:
 
 @dataclass(frozen=True)
 class StringModule:
-    """String module M(i, j) on the interval (i, j], stored canonically."""
+    """String module M(i, j) on the interval (i, j], stored canonically.
+
+    Building one is the module check (i < j, ends in [0, n] on A_n,
+    length < n on the cycle), then shifts cyclic ends to 0 <= i < n.
+    Non-exceptional affine strings pass: submodule closures contain
+    them, and only :func:`string_module` refuses them.  Modules hash by
+    (i, j); equality also compares the quiver.
+    """
 
     quiver: Quiver
     i: int
     j: int
+
+    def __post_init__(self):
+        q, i, j = self.quiver, self.i, self.j
+        if i >= j:
+            raise InvalidModule(f"need i < j, got ({i}, {j})")
+        n = q.n
+        if q.kind is QuiverKind.FINITE_A:
+            if i < 0 or j > n:
+                raise InvalidModule(f"({i}, {j}) outside [0, {n}]")
+            return
+        if q.kind is QuiverKind.CYCLE and j - i > n - 1:
+            raise InvalidModule(f"cycle module length {j - i} exceeds {n - 1}")
+        shift = i % n - i
+        if shift:
+            object.__setattr__(self, "i", i + shift)
+            object.__setattr__(self, "j", j + shift)
+
+    def __hash__(self) -> int:
+        return hash((self.i, self.j))
 
     @property
     def length(self) -> int:
@@ -212,41 +238,16 @@ class StringModule:
 
 
 def canonicalize(q: Quiver, m: StringModule) -> StringModule:
-    """Shift a cyclic-quiver module so 0 <= i < n; idempotent.
-
-    Also the bounds check of every directly built module that reaches
-    the kernels: i >= j, or an end outside [0, n] on A_n, raises
-    :class:`InvalidModule` (the kernels would read such indices from the
-    ends of their tables).
-    """
-    i, j = m.i, m.j
-    if i >= j:
-        raise InvalidModule(f"need i < j, got ({i}, {j})")
-    if q.kind is QuiverKind.FINITE_A:
-        if i < 0 or j > q.n:
-            raise InvalidModule(f"({i}, {j}) outside [0, {q.n}]")
-        return m
-    shift = (i % q.n) - i
-    if shift == 0:
-        return m
-    return StringModule(q, i + shift, j + shift)
-
-
-def _module(q: Quiver, i: int, j: int) -> StringModule:
-    """Construct without the exceptionality check (bounds still enforced).
-
-    Submodule/quotient closures of exceptional strings contain
-    non-exceptional strings, so the internal constructor must accept
-    them; the public :func:`string_module` stays strict.
-    """
-    if q.kind is QuiverKind.CYCLE and j - i > q.n - 1:
-        raise InvalidModule(f"cycle module length {j - i} exceeds {q.n - 1}")
-    return canonicalize(q, StringModule(q, i, j))
+    """m, after checking that it is a module of q (every built module is
+    already valid and canonical)."""
+    if m.quiver is not q and m.quiver != q:
+        raise ValueError("module belongs to a different quiver")
+    return m
 
 
 def string_module(q: Quiver, i: int, j: int) -> StringModule:
-    """Validated, canonicalized string module M(i, j)."""
-    m = _module(q, i, j)
+    """Validated, canonicalized, exceptional string module M(i, j)."""
+    m = StringModule(q, i, j)
     if q.kind is QuiverKind.AFFINE_A and not m.is_exceptional:
         raise InvalidModule(
             f"({i}, {j}) is not exceptional: equal end signs with length {j - i} >= n = {q.n}"
@@ -256,13 +257,6 @@ def string_module(q: Quiver, i: int, j: int) -> StringModule:
 
 def module_from_json(q: Quiver, data: dict) -> StringModule:
     return string_module(q, int(data["i"]), int(data["j"]))
-
-
-def _check_owned(q: Quiver, m: StringModule) -> StringModule:
-    """m in canonical form, after checking that it is a module of q."""
-    if m.quiver is not q and m.quiver != q:
-        raise ValueError("module belongs to a different quiver")
-    return canonicalize(q, m)
 
 
 def sub_endpoints(q: Quiver, i: int, j: int) -> tuple[list[int], list[int]]:
@@ -285,16 +279,16 @@ def indecomposable_submodules(q: Quiver, m: StringModule) -> frozenset[StringMod
     is either an original end or points into the interval: i' = i or
     sign(i') = -, and j' = j or sign(j') = +.
     """
-    _check_owned(q, m)
+    canonicalize(q, m)
     lefts, rights = sub_endpoints(q, m.i, m.j)
-    return frozenset(_module(q, p, r) for p, r in product(lefts, rights) if p < r)
+    return frozenset(StringModule(q, p, r) for p, r in product(lefts, rights) if p < r)
 
 
 def indecomposable_quotients(q: Quiver, m: StringModule) -> frozenset[StringModule]:
     """All indecomposable quotients of m (the sign-flipped enumeration)."""
-    _check_owned(q, m)
+    canonicalize(q, m)
     lefts, rights = quot_endpoints(q, m.i, m.j)
-    return frozenset(_module(q, p, r) for p, r in product(lefts, rights) if p < r)
+    return frozenset(StringModule(q, p, r) for p, r in product(lefts, rights) if p < r)
 
 
 def hom_dim(q: Quiver, m: StringModule, n_mod: StringModule) -> int:
@@ -319,8 +313,8 @@ def hom_dim(q: Quiver, m: StringModule, n_mod: StringModule) -> int:
     use.  Independent check: ``tests/intertwiner.py`` computes the same
     dimension as the nullspace of the intertwiner equations.
     """
-    _check_owned(q, m)
-    _check_owned(q, n_mod)
+    canonicalize(q, m)
+    canonicalize(q, n_mod)
     mi, mj = m.i, m.j
     if not q.is_cyclic:
         shifts = range(1)

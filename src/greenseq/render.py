@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .charges import CentralCharge, as_fraction
 from .errors import InfiniteStableSet
-from .quivers import MINUS, PLUS, QuiverKind, StringModule, canonicalize
-from .stability import candidate_modules, halves, is_stable_oracle, modules_sorted
+from .quivers import MINUS, PLUS, StringModule
+from .stability import candidate_pairs, halves, is_stable_oracle
 
 F = Fraction
 
@@ -81,28 +81,35 @@ def _bounds(window, parse) -> tuple:
     return lo, hi
 
 
-def _chord_modules(q, window) -> list[StringModule]:
+def _chord_pairs(q, window) -> list[tuple[int, int]]:
+    """The candidates, or every exceptional module with both ends in the
+    window: on the cyclic kinds, shorter than n or with unequal end signs."""
     if window is None:
-        return modules_sorted(candidate_modules(q))
+        return list(candidate_pairs(q))
     lo, hi = _bounds(window, int)
-    mods = [StringModule(q, i, j) for i in range(lo, hi) for j in range(i + 1, hi + 1)]
-    return [m for m in mods if q.kind is not QuiverKind.AFFINE_A or m.is_exceptional]
+    return [
+        (i, j)
+        for i in range(lo, hi)
+        for j in range(i + 1, hi + 1)
+        if not q.is_cyclic or j - i < q.n or q.sign(i) != q.sign(j)
+    ]
 
 
-def _chord_panel(Z: CentralCharge, members, mods, view: dict) -> list[str]:
+def _chord_panel(Z: CentralCharge, members, pairs, view: dict) -> list[str]:
     """Chords, boundary chains and vertices of Z, read from ``view``, its
     vertices in the viewport; ``members`` None decides each chord alone."""
     q = Z.quiver
     body = []
     # candidate chords: solid when stable, dashed otherwise
-    for m in mods:
-        (x1, y1), (x2, y2) = view[m.i], view[m.j]
-        stable = is_stable_oracle(Z, m) if members is None else canonicalize(q, m) in members
+    for i, j in pairs:
+        (x1, y1), (x2, y2) = view[i], view[j]
+        m = StringModule(q, i, j)
+        stable = is_stable_oracle(Z, m) if members is None else m in members
         cls = "chord stable" if stable else "chord unstable"
         width = _STABLE_WIDTH if stable else _UNSTABLE_WIDTH
         dash = "" if stable else f' stroke-dasharray="{_DASH}"'
         body.append(
-            f'<line class="{cls}" data-module="{m.i},{m.j}" '
+            f'<line class="{cls}" data-module="{i},{j}" '
             f'x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
             f'stroke="#555555" stroke-width="{width}"{dash}/>'
         )
@@ -138,8 +145,8 @@ def render_chord_svg(target, window=None) -> str:
         parts = [(Z, {m for m, _ in members}) for Z, members in halves(target)]
     except InfiniteStableSet:
         parts = [(target, None)]  # no finite stable set to look up
-    mods = _chord_modules(parts[0][0].quiver, window)
-    ts = range(min(m.i for m in mods), max(m.j for m in mods) + 1)
+    pairs = _chord_pairs(parts[0][0].quiver, window)
+    ts = range(min(i for i, _ in pairs), max(j for _, j in pairs) + 1)
     panels = []
     for Z, _ in parts:
         pts = [Z.dual_vertex(t) for t in ts]
@@ -153,7 +160,7 @@ def render_chord_svg(target, window=None) -> str:
     body = []
     for (Z, members), pts in zip(parts, panels):
         view = {t: to_view(x, y) for t, (x, y) in zip(ts, pts)}
-        body += _chord_panel(Z, members, mods, view)
+        body += _chord_panel(Z, members, pairs, view)
     return _doc(body)
 
 

@@ -33,8 +33,7 @@ from .quivers import (
     Quiver,
     QuiverKind,
     StringModule,
-    _check_owned,
-    _module,
+    canonicalize,
     indecomposable_submodules,
 )
 from .rng import XorShift64Star
@@ -119,7 +118,7 @@ def _oracle(Z: CentralCharge, i: int, j: int, slope: tuple[int, int]) -> int:
 
 
 def _criterion(kernel, Z: CentralCharge, m: StringModule) -> int:
-    m = _check_owned(Z.quiver, m)  # the kernels index the context from 0
+    canonicalize(Z.quiver, m)
     Z._widen_ctx(m.j)
     return kernel(Z, m.i, m.j, _slope_pair(Z, m.i, m.j))
 
@@ -233,7 +232,7 @@ def _enumerate_pairs(q: Quiver) -> Iterable[tuple[int, int]]:
 
 
 def candidate_modules(q: Quiver) -> list[StringModule]:
-    return [_module(q, i, j) for i, j in candidate_pairs(q)]
+    return [StringModule(q, i, j) for i, j in candidate_pairs(q)]
 
 
 def classify(Z: CentralCharge) -> tuple[tuple[StringModule, Fraction, bool], ...]:
@@ -278,7 +277,6 @@ def classify(Z: CentralCharge) -> tuple[tuple[StringModule, Fraction, bool], ...
         above_lo = dy * lo_x - lo_y * dx
         below_hi = hi_y * dx - dy * hi_x
         if above_lo >= 0 and below_hi >= 0:
-            # candidate pairs are canonical, so the module needs no checks
             out.append(
                 (StringModule(q, i, j), Fraction(dy * lb, dx * la), above_lo > 0 and below_hi > 0)
             )

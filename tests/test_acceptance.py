@@ -13,7 +13,6 @@ from math import comb
 import pytest
 
 import greenseq as gs
-from greenseq.quivers import _module
 from greenseq.stability import _oracle, _slope_pair
 from conftest import affine_quivers, affine_words, cycle_quivers, finite_quivers
 from intertwiner import hom_dim_intertwiner
@@ -172,6 +171,7 @@ def _generic_charge(q, seed_index, max_den=64):
 def _long_stable_exists(Z):
     q = Z.quiver
     n = q.n
+    Z._widen_ctx(5 * n)  # lengths up to 4n, past the candidates' 3n
     for i in range(n):
         for d in range(2 * n, 4 * n):
             if q.sign(i) == q.sign(i + d) and d >= n:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 import greenseq as gs
 from conftest import affine_quivers, cycle_quivers, finite_quivers
-from greenseq.quivers import _module
 
 KRON = gs.affine_a("+-")
 VIEW_QUIVERS = (
@@ -60,7 +59,7 @@ class TestMakeCharge:
 class TestSlope:
     def test_kronecker_regular(self):
         Z = kron(0, 1)
-        assert gs.slope(Z, _module(KRON, 0, 2)) == F(1, 2)
+        assert gs.slope(Z, gs.StringModule(KRON, 0, 2)) == F(1, 2)
 
     def test_simple(self):
         q = gs.affine_a("-++--")

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greenseq as gs
-from greenseq.quivers import _module
 
 
 def mods(pairs, q):
@@ -110,7 +109,7 @@ class TestSubQuot:
     def test_kronecker_submodule(self):
         # M(0,2) is a string but not exceptional; the closure still handles it
         q = gs.affine_a("+-")
-        m = _module(q, 0, 2)
+        m = gs.StringModule(q, 0, 2)
         assert gs.indecomposable_submodules(q, m) == {m, gs.string_module(q, 0, 1)}
 
     def test_quotients_a3(self):
@@ -133,7 +132,7 @@ class TestSubQuot:
         q = gs.affine_a("++-")
         m = gs.string_module(q, 1, 6)
         subs = gs.indecomposable_submodules(q, m)
-        culprit = _module(q, 1, 5)
+        culprit = gs.StringModule(q, 1, 5)
         assert culprit in subs and not culprit.is_exceptional
 
     def test_dim_vector_monotone(self):
@@ -182,3 +181,70 @@ def test_canonicalize_idempotent_and_shift_invariant(i, d, s):
     assert 0 <= m.i < q.n
     assert gs.canonicalize(q, m) == m
     assert gs.string_module(q, i + s * q.n, i + d + s * q.n) == m
+
+
+class TestModuleGate:
+    """Building a StringModule is the one validity check: no public
+    function sees an invalid module."""
+
+    def test_empty_and_reversed_finite_modules(self):
+        # slope used to divide by zero on M(2,2) and answer -1 for M(2,1)
+        q = gs.finite_a("-+")
+        Z = gs.make_charge(q, [1, -1, 2], [1, 1, 1])
+        for ij in ((2, 2), (2, 1)):
+            with pytest.raises(gs.InvalidModule):
+                gs.slope(Z, gs.StringModule(q, *ij))
+
+    def test_overlong_cycle_module(self):
+        # the criteria, hom_dim and slope used to answer for M(0,7) on
+        # Dcyc_4, while indecomposable_submodules raised
+        q = gs.cycle_quiver(4)
+        with pytest.raises(gs.InvalidModule):
+            gs.StringModule(q, 0, 7)
+
+    def test_finite_module_outside_the_quiver(self):
+        # in_wall and dim_vector used to answer for M(-1,2) on A_3
+        q = gs.finite_a("-+")
+        with pytest.raises(gs.InvalidModule):
+            gs.in_wall([0, 0, 0], gs.StringModule(q, -1, 2))
+        with pytest.raises(gs.InvalidModule):
+            gs.StringModule(q, -1, 2).dim_vector()
+
+    def test_hash_ignores_the_quiver(self):
+        q = gs.affine_a("++--")
+        m = gs.StringModule(q, 4, 6)
+        assert hash(m) == hash((0, 2))
+        assert m != gs.StringModule(gs.affine_a("+-+-"), 0, 2)
+
+
+GATE_QUIVERS = [
+    gs.parse_quiver(spec) for spec in ("A:-+", "A:+-+-", "At:+-", "At:-++--", "Dcyc:4", "Dcyc:6")
+]
+GATE_CRITERIA = (
+    gs.is_stable_oracle,
+    gs.is_semistable_oracle,
+    gs.is_stable_chord,
+    gs.is_semistable_chord,
+    gs.is_stable_wire,
+    gs.is_semistable_wire,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GATE_QUIVERS), st.integers(-20, 20), st.integers(-20, 20))
+def test_every_built_module_is_answered(q, i, j):
+    try:
+        m = gs.StringModule(q, i, j)
+    except gs.InvalidModule:
+        return
+    if q.is_cyclic:
+        assert 0 <= m.i < q.n
+    Z = gs.make_charge(q, [(-1) ** t * (t + 1) for t in range(q.n)], [1] * q.n)
+    s = gs.slope(Z, m)
+    for fn in GATE_CRITERIA:
+        fn(Z, m)
+    assert gs.hom_dim(q, m, m) >= 1
+    gs.in_wall([s * bv - av for av, bv in zip(Z.a, Z.b)], m)
+    assert sum(m.dim_vector()) == m.length
+    assert m in gs.indecomposable_submodules(q, m)
+    assert m in gs.indecomposable_quotients(q, m)

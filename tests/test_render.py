@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import greenseq as gs
+from greenseq.stability import _chord, _slope_pair
 
 A3 = gs.finite_a("-+")
 FIG1 = gs.make_charge(A3, ["1/2", "3/2", -2], [1, 1, 1])
@@ -63,16 +64,17 @@ class TestChord:
             gs.render_chord_svg(FIG1, window=window)
         assert not isinstance(err.value, gs.GreenseqError)
 
-    def test_cycle_window_draws_non_modules_dashed(self):
+    def test_cycle_window_draws_only_modules(self):
         # strings of length >= n are not modules of the truncated cycle;
-        # this charge's chord test would pass M(0,5) and M(5,10)
+        # this charge's chord kernel would pass the string (0, 5)
         q = gs.cycle_quiver(5)
         Z = gs.make_charge(q, [3, 4, 2, 1, "-1/3"], ["4/3", 1, "1/3", 2, 4])
+        assert _chord(Z, 0, 5, _slope_pair(Z, 0, 5)) > 0
         svg = gs.render_chord_svg(Z, window=(0, 10))
-        assert gs.is_stable_chord(Z, gs.StringModule(q, 0, 5))
-        stable = {tuple(map(int, m.split(","))) for m in
-                  re.findall(r'class="chord stable" data-module="([^"]+)"', svg)}
-        assert all(j - i < q.n for i, j in stable)
+        drawn = {tuple(map(int, m.split(","))): cls for cls, m in
+                 re.findall(r'class="chord (\w+)" data-module="([^"]+)"', svg)}
+        assert drawn and all(j - i < q.n for i, j in drawn)
+        stable = {ij for ij, cls in drawn.items() if cls == "stable"}
         assert {(m.i, m.j) for m in gs.stable_set(Z)} <= stable
 
     def test_solid_equals_stable_set(self):

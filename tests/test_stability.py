@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 import greenseq as gs
 from greenseq import stability
-from greenseq.quivers import _module
 from greenseq.stability import candidate_pairs, equivalence_mismatches
 
 A3 = gs.finite_a("-+")
@@ -86,7 +85,7 @@ class TestChordWire:
         # M(i, i+2n) has the n-translate of its endpoint on the chord
         q = gs.affine_a("+--")
         Z = gs.make_charge(q, [1, 5, -2], [1, 1, 2])
-        m = _module(q, 1, 7)
+        m = gs.StringModule(q, 1, 7)
         assert not gs.is_stable_chord(Z, m)
         assert not gs.is_stable_wire(Z, m)
         assert not gs.is_stable_oracle(Z, m)
@@ -96,7 +95,7 @@ class TestChordWire:
         q = gs.affine_a("++--")
         Z = gs.make_charge(q, [2, 2, 2, 2], [1, 1, 1, 1])
         for i, j in candidate_pairs(q):
-            m = _module(q, i, j)
+            m = gs.StringModule(q, i, j)
             assert gs.is_semistable_chord(Z, m) and gs.is_semistable_wire(Z, m)
             stable = gs.is_stable_chord(Z, m)
             assert stable == m.is_simple
@@ -125,7 +124,7 @@ def test_criteria_canonicalize_cover_translates():
     for i, j in candidate_pairs(q):
         m = gs.StringModule(q, i - 3, j - 3)  # M(i, j) shifted one period left
         for fn in (gs.is_stable_oracle, gs.is_semistable_chord, gs.is_semistable_wire):
-            assert fn(Z, m) == fn(Z, _module(q, i, j))
+            assert fn(Z, m) == fn(Z, gs.StringModule(q, i, j))
 
 
 CRITERIA = (
@@ -140,14 +139,13 @@ CRITERIA = (
 
 @pytest.mark.parametrize("ij", [(-1, 2), (1, 4), (2, 2), (2, 1)])
 def test_criteria_reject_out_of_range_finite_modules(ij):
-    # built directly, past the validating constructor: a negative index
-    # would read the integer context from its end
+    # building the module is the check: a negative index would read the
+    # integer context from its end
     q = gs.finite_a("-+")
     Z = gs.make_charge(q, [1, -1, 2], [1, 1, 1])
-    m = gs.StringModule(q, *ij)
     for fn in CRITERIA:
         with pytest.raises(gs.InvalidModule):
-            fn(Z, m)
+            fn(Z, gs.StringModule(q, *ij))
 
 
 def test_criteria_reject_module_of_another_quiver():
@@ -406,6 +404,6 @@ def test_criteria_agree_random(data):
     b = data.draw(st.tuples(*[pos] * q.n))
     Z = gs.CentralCharge(q, a, b)
     for i, j in candidate_pairs(q):
-        m = _module(q, i, j)
+        m = gs.StringModule(q, i, j)
         assert gs.is_semistable_oracle(Z, m) == gs.is_semistable_chord(Z, m) == gs.is_semistable_wire(Z, m)
         assert gs.is_stable_oracle(Z, m) == gs.is_stable_chord(Z, m) == gs.is_stable_wire(Z, m)
