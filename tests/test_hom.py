@@ -72,8 +72,8 @@ quivers = st.one_of(
 
 
 def drawn_module(data, q):
-    """Any string of q, exceptional or not; on the cyclic kinds shifted
-    by a random cover translate, so i is usually not canonical."""
+    """Any string of q, exceptional or not; on the cyclic kinds drawn at
+    a random cover translate, which construction shifts back."""
     n = q.n
     if q.kind is gs.QuiverKind.FINITE_A:
         i = data.draw(st.integers(0, n - 1))
