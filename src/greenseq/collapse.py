@@ -81,9 +81,15 @@ def collapse(q: Quiver, arrows) -> ProjectionMap:
 def project_module(p: ProjectionMap, m: StringModule) -> StringModule | None:
     """Image of a module; None when an endpoint lies on a collapsed arrow."""
     canonicalize(p.source, m)
-    if p.hits(m.i) or p.hits(m.j):
+    n = p.source.n
+    qi, ri = divmod(m.i - 1, n)
+    qj, rj = divmod(m.j - 1, n)
+    # an end q*n + r + 1 dies on a collapsed arrow r + 1 and otherwise
+    # maps to pi = table[r] + q*n' (see ProjectionMap.pi)
+    if ri + 1 in p.arrows or rj + 1 in p.arrows:
         return None
-    return string_module(p.target, p.pi(m.i), p.pi(m.j))
+    table, n2 = p._table, p.target.n
+    return string_module(p.target, table[ri] + qi * n2, table[rj] + qj * n2)
 
 
 def project_set(p: ProjectionMap, mods) -> frozenset[StringModule]:

@@ -54,25 +54,36 @@ def check_pair(q: Quiver, k: int, l: int) -> None:
 
 def build_Skl(q: Quiver, k: int, l: int) -> MaxSetDescriptor:
     """Construct S(k, l); the size is always C(a+b, 2) + a*b."""
+    return _build_Skl(q, k, l, {})
+
+
+def _build_Skl(
+    q: Quiver, k: int, l: int, built: dict[tuple[int, int], StringModule]
+) -> MaxSetDescriptor:
+    """build_Skl, taking members from ``built``, a (i, j) -> module dict
+    shared by the sets of one quiver, and adding the ones it builds."""
     check_pair(q, k, l)
     n = q.n
-    A = tuple(sorted({l} | {j for j in range(k + 1, k + n) if q.sign(j) == PLUS}))
-    B = tuple(sorted({k} | {i for i in range(l - n + 1, l) if q.sign(i) == MINUS}))
+    signs = q.signs
+    A = tuple(sorted([l] + [j for j in range(k + 1, k + n) if signs[(j - 1) % n] == PLUS]))
+    B = tuple(sorted([k] + [i for i in range(l - n + 1, l) if signs[(i - 1) % n] == MINUS]))
+    pairs = [(i, j) for idx, i in enumerate(A) for j in A[idx + 1 :]]
+    pairs += [(i, j) for idx, i in enumerate(B) for j in B[idx + 1 :]]
+    for i in B:
+        for j in A:
+            pairs.append((i, j) if i < j else (j, i))
+            pairs.append((i, j - n) if i < j - n else (j - n, i))
     # Every member is exceptional, so StringModule suffices without the
     # exceptionality check of string_module: two ends inside A (or inside
     # B) lie less than n apart, and the two ends of a B x A pair that
     # spans n or more have opposite signs.
     mods: set[StringModule] = set()
-    for idx, i in enumerate(A):
-        for j in A[idx + 1 :]:
-            mods.add(StringModule(q, i, j))
-    for idx, i in enumerate(B):
-        for j in B[idx + 1 :]:
-            mods.add(StringModule(q, i, j))
-    for i in B:
-        for j in A:
-            mods.add(StringModule(q, min(i, j), max(i, j)))
-            mods.add(StringModule(q, min(i, j - n), max(i, j - n)))
+    for i, j in pairs:
+        ij = (i % n, j - i + i % n)  # canonical: 0 <= i < n
+        m = built.get(ij)
+        if m is None:
+            m = built[ij] = StringModule(q, *ij)
+        mods.add(m)
     expected = max_mgs_length(q)
     if len(A) != q.a or len(B) != q.b or len(mods) != expected:
         raise VerificationFailed(
@@ -115,9 +126,11 @@ def enumerate_max_sets(q: Quiver) -> list[tuple[MaxSetDescriptor, int]]:
     """One descriptor per valid (k, l), tagged with its equality class.
 
     Class ids number the distinct module sets in order of first
-    appearance; for (a, b) != (2, 2) all a*b sets are distinct.
+    appearance; for (a, b) != (2, 2) all a*b sets are distinct.  The
+    sets share their members: each distinct module is built once.
     """
-    descriptors = [build_Skl(q, k, l) for k, l in valid_pairs(q)]
+    built: dict[tuple[int, int], StringModule] = {}
+    descriptors = [_build_Skl(q, k, l, built) for k, l in valid_pairs(q)]
     classes: dict[frozenset[StringModule], int] = {}
     out = []
     for d in descriptors:

@@ -176,8 +176,9 @@ def parse_quiver(spec: str) -> Quiver:
 class StringModule:
     """String module M(i, j) on the interval (i, j], stored canonically.
 
-    Building one is the module check (i < j, ends in [0, n] on A_n,
-    length < n on the cycle), then shifts cyclic ends to 0 <= i < n.
+    Building one is the module check (integer ends, i < j, ends in
+    [0, n] on A_n, length < n on the cycle), then shifts cyclic ends to
+    0 <= i < n.
     Non-exceptional affine strings pass: submodule closures contain
     them, and only :func:`string_module` refuses them.  Modules hash by
     (i, j); equality also compares the quiver.
@@ -189,6 +190,8 @@ class StringModule:
 
     def __post_init__(self):
         q, i, j = self.quiver, self.i, self.j
+        if type(i) is not int or type(j) is not int:
+            raise InvalidModule(f"ends must be integers, got ({i!r}, {j!r})")
         if i >= j:
             raise InvalidModule(f"need i < j, got ({i}, {j})")
         n = q.n
@@ -216,11 +219,16 @@ class StringModule:
 
     @property
     def is_exceptional(self) -> bool:
-        """False exactly when both ends carry the same sign and j-i >= n."""
+        """False exactly when q is affine, j-i >= n and both ends carry
+        the same sign (a cycle module is shorter than n)."""
         q = self.quiver
-        if not q.is_cyclic:
-            return True
-        return not (q.sign(self.i) == q.sign(self.j) and self.length >= q.n)
+        signs = q.signs
+        n = len(signs)
+        return not (
+            q.kind is QuiverKind.AFFINE_A
+            and self.j - self.i >= n
+            and signs[(self.i - 1) % n] == signs[(self.j - 1) % n]
+        )
 
     def dim_vector(self) -> tuple[int, ...]:
         q = self.quiver
@@ -313,35 +321,39 @@ def hom_dim(q: Quiver, m: StringModule, n_mod: StringModule) -> int:
     use.  Independent check: ``tests/intertwiner.py`` computes the same
     dimension as the nullspace of the intertwiner equations.
     """
-    canonicalize(q, m)
-    canonicalize(q, n_mod)
+    if m.quiver is not q:
+        canonicalize(q, m)
+    if n_mod.quiver is not q:
+        canonicalize(q, n_mod)
     mi, mj = m.i, m.j
-    if not q.is_cyclic:
-        shifts = range(1)
-    else:
-        n = q.n
-        lo = -((n_mod.j - mi) // n)  # ceil((m.i - n.j)/n)
-        hi = (mj - n_mod.i) // n
-        shifts = range(lo * n, (hi + 1) * n, n)
+    ni, nj = n_mod.i, n_mod.j
     # interior positions only: 1..n-1 on A_n (len(signs) = n - 1), any
     # integer on the periodic kinds (len(signs) = n)
     signs = q.signs
     period = len(signs)
+    if q.kind is QuiverKind.FINITE_A:
+        shifts = (0,)
+    else:
+        lo = -((nj - mi) // period)  # ceil((m.i - n.j)/n)
+        hi = (mj - ni) // period
+        shifts = range(lo * period, (hi + 1) * period, period)
     count = 0
     for s in shifts:
-        ni = n_mod.i + s
-        nj = n_mod.j + s
-        if max(mi, ni) >= min(mj, nj):
+        a = ni + s
+        b = nj + s
+        if a >= mj or b <= mi:
             continue
         # an end interior to the lift is a submodule cut, one interior
         # to m a quotient cut
-        if mi > ni and signs[(mi - 1) % period] != MINUS:
+        if mi > a:
+            if signs[(mi - 1) % period] != MINUS:
+                continue
+        elif a > mi and signs[(a - 1) % period] != PLUS:
             continue
-        if ni > mi and signs[(ni - 1) % period] != PLUS:
-            continue
-        if mj < nj and signs[(mj - 1) % period] != PLUS:
-            continue
-        if nj < mj and signs[(nj - 1) % period] != MINUS:
+        if mj < b:
+            if signs[(mj - 1) % period] != PLUS:
+                continue
+        elif b < mj and signs[(b - 1) % period] != MINUS:
             continue
         count += 1
     return count

@@ -92,28 +92,38 @@ def _slope_pair(Z: CentralCharge, i: int, j: int) -> tuple[int, int]:
 
 
 def _oracle(Z: CentralCharge, i: int, j: int, slope: tuple[int, int]) -> int:
+    # With g(t) = ya_t*den - num*xb_t, slope(M(p, r)) - slope(M(i, j))
+    # has the sign of g(r) - g(p) (denominators > 0).  The submodules
+    # M(p, r), p < r, pair a left end p (i, or an interior - sign) with a
+    # right end r (j, or an interior + sign), so one walk keeps the
+    # largest g over the left ends so far and tests each right end
+    # against it.  M(i, j) itself is excluded: for r = j only the
+    # interior left ends count.
     ctx = Z._ctx
     ya, xb, sig = ctx.ya, ctx.xb, ctx.sig
     num, den = slope
-    lefts = [i]
-    rights = [j]
-    for t in range(i + 1, j):
-        s = sig[t]
-        if s == MINUS:
-            lefts.append(t)
-        else:
-            rights.append(t)
+    top = ya[i] * den - num * xb[i]
+    inner = None  # the largest g over interior left ends
     verdict = 1
-    for p in lefts:
-        yp, xp = ya[p], xb[p]
-        for r in rights:
-            if p < r and (p != i or r != j):
-                # sign of slope(M(p,r)) - slope(M(i,j)), denominators > 0
-                value = (ya[r] - yp) * den - num * (xb[r] - xp)
-                if value <= 0:
-                    if value:
-                        return -1
-                    verdict = 0
+    for t in range(i + 1, j):
+        g = ya[t] * den - num * xb[t]
+        if sig[t] == MINUS:
+            if g > top:
+                top = g
+            if inner is None or g > inner:
+                inner = g
+        else:
+            value = g - top
+            if value <= 0:
+                if value:
+                    return -1
+                verdict = 0
+    if inner is not None:
+        value = ya[j] * den - num * xb[j] - inner
+        if value <= 0:
+            if value:
+                return -1
+            verdict = 0
     return verdict
 
 
@@ -222,12 +232,12 @@ def _enumerate_pairs(q: Quiver) -> Iterable[tuple[int, int]]:
         return ((i, j) for i in range(n + 1) for j in range(i + 1, n + 1))
     if q.kind is QuiverKind.CYCLE:
         return ((i, i + d) for i in range(n) for d in range(1, n))
-    sgn = q.sign
+    signs = q.signs  # sign(t) = signs[(t - 1) % n]
     return (
         (i, i + d)
         for i in range(n)
         for d in range(1, 2 * n)
-        if d < n or sgn(i) != sgn(i + d)
+        if d < n or signs[i - 1] != signs[(i + d - 1) % n]
     )
 
 

@@ -64,6 +64,27 @@ class TestProjectModule:
     def test_empty_set(self):
         assert gs.project_set(self.p, []) == frozenset()
 
+    def test_matches_hits_and_pi(self):
+        # the table-driven projection agrees with hits and pi on every
+        # candidate module of every single-arrow collapse
+        for q in affine_quivers(6, min_n=3):
+            for x in range(1, q.n + 1):
+                try:
+                    p = gs.collapse(q, [x])
+                except gs.InvalidQuiver:
+                    continue
+                for m in gs.candidate_modules(q):
+                    if p.hits(m.i) or p.hits(m.j):
+                        assert gs.project_module(p, m) is None
+                        continue
+                    try:
+                        image = gs.string_module(p.target, p.pi(m.i), p.pi(m.j))
+                    except gs.InvalidModule:
+                        with pytest.raises(gs.InvalidModule):
+                            gs.project_module(p, m)
+                    else:
+                        assert gs.project_module(p, m) == image
+
 
 class TestDeletionLemma:
     def test_skl_projects_to_skl(self):

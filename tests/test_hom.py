@@ -100,3 +100,18 @@ def test_hom_rejects_out_of_range_finite_modules(ij):
         gs.hom_dim(q, gs.StringModule(q, *ij), good)
     with pytest.raises(gs.InvalidModule):
         gs.hom_dim(q, good, gs.StringModule(q, *ij))
+
+
+def test_hom_checks_the_quiver_by_equality():
+    q = gs.affine_a("-++--")
+    m = gs.string_module(q, 0, 3)
+    nm = gs.string_module(q, 2, 4)
+    twin = gs.affine_a("-++--")
+    assert twin is not q
+    assert gs.hom_dim(twin, m, nm) == gs.hom_dim(q, m, nm)
+    assert gs.hom_dim(q, gs.string_module(twin, 0, 3), nm) == gs.hom_dim(q, m, nm)
+    other = gs.affine_a("+-+--")
+    with pytest.raises(ValueError, match="different quiver"):
+        gs.hom_dim(other, m, nm)
+    with pytest.raises(ValueError, match="different quiver"):
+        gs.hom_dim(q, m, gs.string_module(other, 2, 4))

@@ -87,6 +87,14 @@ class TestEnumerate:
             assert len(rows) == q.a * q.b
             assert len({cid for _, cid in rows}) == q.a * q.b
 
+    def test_shared_members_match_build_Skl(self):
+        # enumerate_max_sets builds each member once per quiver and
+        # shares it between the sets; every set is still build_Skl's
+        for q in affine_quivers(7):
+            for d, _ in gs.enumerate_max_sets(q):
+                alone = gs.build_Skl(q, d.k, d.l)
+                assert (d.A, d.B, d.modules) == (alone.A, alone.B, alone.modules)
+
 
 class TestMaxLength:
     def test_values(self):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +137,22 @@ class TestSubQuot:
         culprit = gs.StringModule(q, 1, 5)
         assert culprit in subs and not culprit.is_exceptional
 
+    @pytest.mark.parametrize(
+        "spec", ["A:", "A:-+", "A:+--+", "At:+-", "At:++-", "At:-++--", "Dcyc:4", "Dcyc:5"]
+    )
+    def test_is_exceptional_sign_rule(self, spec):
+        # non-exceptional: a cyclic quiver, equal end signs and j - i >= n
+        q = gs.parse_quiver(spec)
+        n = q.n
+        for i in range(-3 * n, 3 * n + 1):
+            for j in range(i + 1, 3 * n + 1):
+                try:
+                    m = gs.StringModule(q, i, j)
+                except gs.InvalidModule:
+                    continue
+                rule = not (q.is_cyclic and q.sign(i) == q.sign(j) and j - i >= n)
+                assert m.is_exceptional == rule, (i, j)
+
     def test_dim_vector_monotone(self):
         q = gs.affine_a("-++--")
         m = gs.string_module(q, 0, 7)
@@ -210,6 +228,15 @@ class TestModuleGate:
         with pytest.raises(gs.InvalidModule):
             gs.StringModule(q, -1, 2).dim_vector()
 
+    @pytest.mark.parametrize("end", [0.5, Fraction(1, 2), "1", None])
+    def test_non_integer_ends(self, end):
+        # slope, the criteria and dim_vector used to raise TypeError for
+        # M(0.5, 2) on A_3
+        q = gs.finite_a("-+")
+        for ij in ((end, 2), (0, end)):
+            with pytest.raises(gs.InvalidModule):
+                gs.StringModule(q, *ij)
+
     def test_hash_ignores_the_quiver(self):
         q = gs.affine_a("++--")
         m = gs.StringModule(q, 4, 6)
@@ -230,8 +257,11 @@ GATE_CRITERIA = (
 )
 
 
+GATE_ENDS = st.one_of(st.integers(-20, 20), st.sampled_from([0.5, Fraction(1, 2), "1", None]))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(GATE_QUIVERS), st.integers(-20, 20), st.integers(-20, 20))
+@given(st.sampled_from(GATE_QUIVERS), GATE_ENDS, GATE_ENDS)
 def test_every_built_module_is_answered(q, i, j):
     try:
         m = gs.StringModule(q, i, j)

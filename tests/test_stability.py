@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import greenseq as gs
 from greenseq import stability
-from greenseq.stability import candidate_pairs, equivalence_mismatches
+from greenseq.stability import _oracle, _slope_pair, candidate_pairs, equivalence_mismatches
 
 A3 = gs.finite_a("-+")
 FIG1 = gs.make_charge(A3, ["1/2", "3/2", -2], [1, 1, 1])
@@ -407,3 +407,43 @@ def test_criteria_agree_random(data):
         m = gs.StringModule(q, i, j)
         assert gs.is_semistable_oracle(Z, m) == gs.is_semistable_chord(Z, m) == gs.is_semistable_wire(Z, m)
         assert gs.is_stable_oracle(Z, m) == gs.is_stable_chord(Z, m) == gs.is_stable_wire(Z, m)
+
+
+def _oracle_reference(Z, i, j, slope):
+    """The literal submodule check: every proper substring M(p, r) with a
+    left end p (i or an interior - sign) and a right end r (j or an
+    interior + sign), compared against slope, in O(L^2)."""
+    ctx = Z._ctx
+    ya, xb, sig = ctx.ya, ctx.xb, ctx.sig
+    num, den = slope
+    lefts = [i] + [t for t in range(i + 1, j) if sig[t] == gs.MINUS]
+    rights = [j] + [t for t in range(i + 1, j) if sig[t] != gs.MINUS]
+    verdict = 1
+    for p in lefts:
+        for r in rights:
+            if p < r and (p, r) != (i, j):
+                value = (ya[r] - ya[p]) * den - num * (xb[r] - xb[p])
+                if value < 0:
+                    return -1
+                if value == 0:
+                    verdict = 0
+    return verdict
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_oracle_matches_quadratic_reference(data):
+    # denominators <= 4 make ties and strictly semistable modules common
+    spec = data.draw(st.sampled_from(
+        ["A:", "A:-", "A:-+", "A:+-+-", "A:--++-", "At:+-", "At:++-", "At:-++--",
+         "At:+-+--+", "Dcyc:4", "Dcyc:6"]
+    ))
+    q = gs.parse_quiver(spec)
+    rat = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    pos = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
+    Z = gs.CentralCharge(
+        q, data.draw(st.tuples(*[rat] * q.n)), data.draw(st.tuples(*[pos] * q.n))
+    )
+    for i, j in candidate_pairs(q):
+        slope = _slope_pair(Z, i, j)
+        assert _oracle(Z, i, j, slope) == _oracle_reference(Z, i, j, slope), (i, j)
