@@ -16,7 +16,7 @@ from functools import cache
 from . import __version__
 from .charges import charge_from_json
 from .collapse import collapse, project_set
-from .errors import GreenseqError
+from .errors import GreenseqError, InvalidCharge
 from .linearity import (
     dn_charge,
     is_linear_set,
@@ -31,7 +31,11 @@ from .stability import SplicedPath, fuzz_quiver, halves, mgs, modules_sorted, st
 
 
 def _charge_arg(q, text: str):
-    return charge_from_json(q, json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise InvalidCharge("charge JSON is nested too deeply") from None
+    return charge_from_json(q, data)
 
 
 def _emit(args, human_lines, payload) -> None:

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import greenseq as gs
 from greenseq.cli import main
@@ -163,7 +167,9 @@ class TestSubcommands:
         assert str(out_file) in json.loads(err)["message"]
 
     @pytest.mark.parametrize(
-        "mode, window", [("chord", ("2", "2")), ("wire", ("a", "3")), ("wire", ("1e9", "2e9"))]
+        "mode, window",
+        [("chord", ("2", "2")), ("wire", ("a", "3")), ("wire", ("1e9", "2e9")),
+         ("chord", ("0", "9")), ("chord", ("-3", "2"))],
     )
     def test_render_bad_window(self, capsys, mode, window):
         code, _, err = run(
@@ -185,6 +191,102 @@ class TestSubcommands:
         )
         assert code == 0
         assert out.count('class="stable-crossing"') == len(gs.spliced_stable_set(p))
+
+
+# (quiver, a finite charge on it) for the refusal property
+_RENDER_CASES = [
+    ("A:-+", FIG1_CHARGE),
+    ("At:-++--", '{"a": [-1, "1/2", -3, "3/2", 4], "b": ["1/2", "3/2", 2, 1, "3/2"]}'),
+    ("Dcyc:6", '{"a":[3,-1,"1/2",-2,2,"-3/4"],"b":[1,2,"1/3",1,"5/2",1]}'),
+]
+# a bound word argparse passes on as a value: apart from negative
+# numbers it takes a word starting with "-" for an option
+_NOT_RATIONAL = st.sampled_from(
+    ["", " ", "a", "/", "1/0", "1//2", "nan", "inf", "0x1", "1.2.3", "3-", "1/2/3"]
+) | st.from_regex(r"[0-9]{1,3}[a-dx/][a-z]{1,2}", fullmatch=True)
+_EXPONENT = st.builds(
+    "{}{}{}".format, st.integers(0, 99), st.sampled_from("eE"), st.integers(-9, 9)
+)
+
+
+def _malformed_window(mode, q):
+    bad = _NOT_RATIONAL | _EXPONENT
+    if mode == "chord":
+        bad |= st.sampled_from(["1/2", "0.5", "2.0", "1."])
+        reversed_ = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(
+            lambda w: w[0] >= w[1]).map(lambda w: tuple(map(str, w)))
+    else:
+        decimal = st.decimals(min_value=-9, max_value=9, places=2).map("{:f}".format)
+        reversed_ = st.tuples(decimal, decimal).filter(lambda w: float(w[0]) >= float(w[1]))
+    windows = (
+        st.tuples(bad, st.just("3")) | st.tuples(st.just("0"), bad) | st.tuples(bad, bad)
+        | reversed_
+    )
+    if mode == "chord" and not q.is_cyclic:
+        # chords of A_n end in [0, n]
+        windows |= st.tuples(st.integers(-9, q.n + 9), st.integers(-9, q.n + 9)).filter(
+            lambda w: w[0] < w[1] and (w[0] < 0 or w[1] > q.n)).map(lambda w: tuple(map(str, w)))
+    return windows
+
+
+def _malformed_charge(n):
+    value = st.sampled_from(['"1/2"', "-2", "3"])
+    bad = st.sampled_from(['"x"', '"1e5"', "1.5", "1e400", "true", "null", '"1/0"', "{}", "[]"])
+    good = st.tuples(st.lists(value, min_size=n, max_size=n), st.lists(
+        st.sampled_from(['"1/2"', "2"]), min_size=n, max_size=n))
+
+    def corrupt(ab, key, where, with_):
+        a, b = ab
+        vec = {"a": list(a), "b": list(b)}
+        if with_ == "drop":
+            vec[key].pop(where % n)
+        elif with_ == "extra":
+            vec[key].append("1")
+        else:
+            vec[key][where % n] = with_
+        return '{"a": [%s], "b": [%s]}' % (",".join(vec["a"]), ",".join(vec["b"]))
+
+    corrupted = st.builds(
+        corrupt, good, st.sampled_from("ab"), st.integers(0, n - 1),
+        bad | st.sampled_from(["drop", "extra"]),
+    )
+    # b entries must be positive
+    nonpositive = st.builds(
+        corrupt, good, st.just("b"), st.integers(0, n - 1), st.sampled_from(["0", '"-1/2"'])
+    )
+    not_a_charge = st.sampled_from(
+        ["", "{", "[1, 2", "nope", "{'a': [1]}", "[1, 2]", "3", "null", '"a"', '{"a": [1]}',
+         '{"a": 1, "b": [1]}', "NaN", "[" * 100_000]
+    )
+    return corrupted | nonpositive | not_a_charge
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_render_refuses_malformed_window_or_charge(data):
+    # an uncaught exception would escape main() here, as a traceback does
+    spec, charge = data.draw(st.sampled_from(_RENDER_CASES))
+    q = gs.parse_quiver(spec)
+    mode = data.draw(st.sampled_from(["chord", "wire"]))
+    argv = ["render", mode, "--quiver", spec]
+    if data.draw(st.booleans()):
+        argv += ["--charge", charge, "--window", *data.draw(_malformed_window(mode, q))]
+    else:
+        argv += ["--charge", data.draw(_malformed_charge(q.n))]
+    code, out, err = _run_captured(argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    payload = json.loads(err)
+    assert payload["error"] in ("value-error", "invalid-charge")
+    if "--window" in argv:
+        assert "window" in payload["message"]
 
 
 class TestVerify:
