@@ -29,7 +29,7 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from operator import itemgetter
 
-from .charges import as_fraction
+from .charges import CentralCharge, as_fraction
 from .errors import InfiniteStableSet
 from .quivers import MINUS, PLUS, StringModule
 from .stability import candidate_pairs, halves, is_stable_oracle
@@ -56,6 +56,7 @@ _CHORD_TAIL = {
     False: ' stroke="#555555" stroke-width="1" stroke-dasharray="5,4"/>',
 }
 
+# shared by every call: a division only raises its flags, which nothing reads
 _DECIMAL = Context(prec=12)
 
 
@@ -116,7 +117,7 @@ def _chord_pairs(q, window) -> list[tuple[int, int]]:
     ]
 
 
-def _chord_panel(Z, stable: list[bool], pairs, view: dict) -> list[str]:
+def _chord_panel(Z: CentralCharge, stable: list[bool], pairs, view: dict) -> list[str]:
     """Chords (solid where ``stable``), boundary chains and vertices of Z,
     read from ``view``, its vertices in the viewport."""
     q = Z.quiver
@@ -185,7 +186,8 @@ def render_chord_svg(target, window=None) -> str:
         if members is None:
             stable = [is_stable_oracle(Z, StringModule(q, i, j)) for i, j in pairs]
         else:
-            # canonical ends: a cyclic module M(i, j) is M(i % n, j - i + i % n)
+            # canonical ends: a cyclic module M(i, j) is M(i % n, j - i + i % n);
+            # on A_n every i < n, so the key is (i, j)
             keys = {(m.i, m.j) for m, _ in members}
             stable = [(i % n, j - i + i % n) in keys for i, j in pairs]
         body += _chord_panel(Z, stable, pairs, view)
