@@ -1,14 +1,19 @@
 """Command-line surface.
 
+Every ``cmd_*(q, args)`` takes the parsed quiver (a list for ``verify``)
+and returns ``(lines, payload)``, the human output and its JSON form.
+:func:`main` alone parses ``--quiver``, prints the payload under
+``--json`` or else the lines, and maps errors to exit codes.
+
 Exit codes: 0 on success, 1 on domain, input and file errors (JSON on
-stderr), 2 on usage errors (argparse).  ``--json`` swaps the human
-tables for the JSON forms used everywhere else in the package.
+stderr) and on a ``verify`` mismatch, 2 on usage errors (argparse).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
@@ -33,87 +38,61 @@ from .stability import SplicedPath, fuzz_quiver, halves, mgs, modules_sorted, st
 def _charge_arg(q, text: str):
     try:
         data = json.loads(text)
-    except RecursionError:
-        raise InvalidCharge("charge JSON is nested too deeply") from None
+    except (json.JSONDecodeError, RecursionError) as exc:  # not JSON, or nested too deeply
+        raise InvalidCharge(f"charge is not readable JSON: {exc}") from None
     return charge_from_json(q, data)
 
 
-def _emit(args, human_lines, payload) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
+def _module_rows(payload):
+    """The lines of a module list with slopes, read off its payload."""
+    return [f"M({r['i']},{r['j']})  slope {r['slope']}" for r in payload["modules"]], payload
 
 
-def _module_row(m, s=None) -> str:
-    return f"M({m.i},{m.j})" + (f"  slope {s}" if s is not None else "")
-
-
-def cmd_quiver(args) -> int:
-    q = parse_quiver(args.quiver)
+def cmd_quiver(q, args):
     payload = q.to_json()
     lines = [f"{q.label()}  n={q.n}"]
     if q.is_cyclic:
         payload.update({"a": q.a, "b": q.b})
         lines[0] += f"  a={q.a} b={q.b}"
-    _emit(args, lines, payload)
-    return 0
+    return lines, payload
 
 
-def cmd_stable_set(args) -> int:
-    q = parse_quiver(args.quiver)
-    Z = _charge_arg(q, args.charge)
-    [(_, rows)] = halves(Z, include_semistable=args.semistable)
-    payload = {
+def cmd_stable_set(q, args):
+    [(_, rows)] = halves(_charge_arg(q, args.charge), include_semistable=args.semistable)
+    return _module_rows({
         "modules": [{"i": m.i, "j": m.j, "slope": str(s)} for m, s in rows],
         "ordered": False,
-    }
-    _emit(args, [_module_row(m, s) for m, s in rows], payload)
-    return 0
+    })
 
 
-def cmd_mgs(args) -> int:
-    q = parse_quiver(args.quiver)
-    Z = _charge_arg(q, args.charge)
-    seq = mgs(Z)
-    _emit(args, [_module_row(m, s) for m, s in seq], seq.to_json())
-    return 0
+def cmd_mgs(q, args):
+    return _module_rows(mgs(_charge_arg(q, args.charge)).to_json())
 
 
-def cmd_maxsets(args) -> int:
-    q = parse_quiver(args.quiver)
+def cmd_maxsets(q, args):
     rows = enumerate_max_sets(q)
-    payload = []
+    payload = [{**d.to_json(), "class": cid} for d, cid in rows]
     lines = [f"max length {max_mgs_length(q)}; {len(rows)} descriptors"]
     for d, cid in rows:
-        entry = d.to_json()
-        entry["class"] = cid
-        payload.append(entry)
         mods = " ".join(f"{m.i}{m.j}" if m.j < 10 else f"({m.i},{m.j})"
                         for m in modules_sorted(d.modules))
         lines.append(f"S({d.k},{d.l})  class {cid}  [{mods}]")
     classes = len({cid for _, cid in rows})
     lines.append(f"{classes} distinct sets")
-    _emit(args, lines, {"descriptors": payload, "classes": classes,
-                        "max_length": max_mgs_length(q)})
-    return 0
+    return lines, {"descriptors": payload, "classes": classes, "max_length": max_mgs_length(q)}
 
 
-def cmd_linearity(args) -> int:
-    q = parse_quiver(args.quiver)
+def cmd_linearity(q, args):
     verdict = is_linear_set(q, args.k, args.l)
     lines = [
         f"S({args.k},{args.l}) is {'linear' if verdict.linear else 'nonlinear'}"
         + (f" ({verdict.satisfied_condition})" if verdict.satisfied_condition else "")
         + (f" witness {verdict.pattern_witness}" if verdict.pattern_witness else "")
     ]
-    _emit(args, lines, verdict.to_json())
-    return 0
+    return lines, verdict.to_json()
 
 
-def cmd_witness(args) -> int:
-    q = parse_quiver(args.quiver)
+def cmd_witness(q, args):
     kind = args.kind
     if kind == "auto":
         kind = "linear" if is_linear_set(q, args.k, args.l).linear else "spliced"
@@ -123,31 +102,20 @@ def cmd_witness(args) -> int:
     count = sum(len(members) for _, members in parts)
     payload = {"kind": kind, "Z": charges[0], "Zprime": charges[1] if len(charges) > 1 else None,
                "verified": True, "stable_count": count}
-    lines = [f"{kind} witness, {count} stable modules"] + [json.dumps(c) for c in charges]
-    _emit(args, lines, payload)
-    return 0
+    return [f"{kind} witness, {count} stable modules"] + [json.dumps(c) for c in charges], payload
 
 
-def cmd_reineke(args) -> int:
-    q = parse_quiver(args.quiver)
-    Z = reineke_charge(q)
+def cmd_standard_charge(q, args):
+    """``reineke`` or ``dn-charge``: a standard charge and its stable count."""
+    reineke = args.command == "reineke"
+    Z = reineke_charge(q) if reineke else dn_charge(q, args.k)
     count = len(stable_set(Z))
-    _emit(args, [f"all {count} modules stable", json.dumps(Z.to_json())],
-          {"Z": Z.to_json(), "stable_count": count, "verified": True})
-    return 0
+    head = f"all {count} modules stable" if reineke else f"stable set S({args.k}), {count} modules"
+    return [head, json.dumps(Z.to_json())], {"Z": Z.to_json(), "stable_count": count,
+                                             "verified": True}
 
 
-def cmd_dn_charge(args) -> int:
-    q = parse_quiver(args.quiver)
-    Z = dn_charge(q, args.k)
-    count = len(stable_set(Z))
-    _emit(args, [f"stable set S({args.k}), {count} modules", json.dumps(Z.to_json())],
-          {"Z": Z.to_json(), "stable_count": count, "verified": True})
-    return 0
-
-
-def cmd_collapse(args) -> int:
-    q = parse_quiver(args.quiver)
+def cmd_collapse(q, args):
     if (args.k is None) != (args.l is None):
         raise ValueError("collapse projects S(k,l) only when given both --k and --l")
     arrows = [int(x) for x in args.arrows.split(",") if x.strip()]
@@ -159,33 +127,31 @@ def cmd_collapse(args) -> int:
         payload["projected_Skl"] = [m.to_json() for m in modules_sorted(image)]
         lines.append("projected S(k,l): " +
                      " ".join(f"M({m.i},{m.j})" for m in modules_sorted(image)))
-    _emit(args, lines, payload)
-    return 0
+    return lines, payload
 
 
-def cmd_render(args) -> int:
-    q = parse_quiver(args.quiver)
-    Z = _charge_arg(q, args.charge)
-    target = Z
+def cmd_render(q, args):
+    target = _charge_arg(q, args.charge)
     if args.charge_prime:
-        target = SplicedPath(Z, _charge_arg(q, args.charge_prime))
+        target = SplicedPath(target, _charge_arg(q, args.charge_prime))
     render = render_chord_svg if args.mode == "chord" else render_wire_svg
     svg = render(target, window=args.window)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-        print(args.output)
-    else:
-        sys.stdout.write(svg)
-    return 0
+    if not args.output:
+        # the document as one block; its closing newline is the printed one
+        return [svg.removesuffix("\n")], None
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(svg)
+    return [args.output], None
 
 
 def _fuzz_chunk(task):
     return fuzz_quiver(*task)
 
 
-def cmd_verify(args) -> int:
-    quivers = [parse_quiver(spec) for spec in args.quiver]
+def cmd_verify(quivers, args):
+    for flag, value in (("--trials", args.trials), ("--jobs", args.jobs or 0)):
+        if value < 0:
+            raise ValueError(f"{flag} must not be negative, got {value}")
     # a pool forks all its workers up front, so never more than there are trials
     jobs = max(1, min(args.jobs or 1, args.trials))
     chunk = max(1, args.trials // jobs)
@@ -208,14 +174,8 @@ def cmd_verify(args) -> int:
         "max_denominator": args.max_denominator,
         "mismatches": mismatches,
     }
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"{args.trials} trials x {len(args.quiver)} quiver(s): "
-              f"{len(mismatches)} mismatches")
-        for bad in mismatches:
-            print(json.dumps(bad, sort_keys=True))
-    return 0 if not mismatches else 1
+    lines = [f"{args.trials} trials x {len(quivers)} quiver(s): {len(mismatches)} mismatches"]
+    return lines + [json.dumps(bad, sort_keys=True) for bad in mismatches], payload
 
 
 @cache
@@ -226,63 +186,54 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"greenseq {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
-        p.set_defaults(fn=fn)
-        p.add_argument("--json", action="store_true", help="emit JSON")
+    def add(name, fn, summary, *ints, json_flag=True, **quiver):
+        """A subcommand with ``--quiver`` (further keywords in ``quiver``),
+        ``--json`` unless ``json_flag`` is false, and required integers ``ints``."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn, json=False)
+        p.add_argument("--quiver", required=True, **quiver)
+        if json_flag:
+            p.add_argument("--json", action="store_true", help="emit JSON")
+        for flag in ints:
+            p.add_argument(flag, type=int, required=True)
         return p
 
-    p = add("quiver", cmd_quiver, help="parse and describe a quiver")
-    p.add_argument("--quiver", required=True)
+    add("quiver", cmd_quiver, "parse and describe a quiver")
 
-    p = add("stable-set", cmd_stable_set, help="stable modules of a charge")
-    p.add_argument("--quiver", required=True)
+    p = add("stable-set", cmd_stable_set, "stable modules of a charge")
     p.add_argument("--charge", required=True, help='JSON {"a":[...],"b":[...]}')
     p.add_argument("--semistable", action="store_true",
                    help="include strictly semistable modules")
 
-    p = add("mgs", cmd_mgs, help="maximal green sequence of a generic charge")
-    p.add_argument("--quiver", required=True)
+    p = add("mgs", cmd_mgs, "maximal green sequence of a generic charge")
     p.add_argument("--charge", required=True)
 
-    p = add("maxsets", cmd_maxsets, help="enumerate the maximal stable sets S(k,l)")
-    p.add_argument("--quiver", required=True)
+    add("maxsets", cmd_maxsets, "enumerate the maximal stable sets S(k,l)")
+    add("linearity", cmd_linearity, "decide linearity of S(k,l)", "--k", "--l")
 
-    p = add("linearity", cmd_linearity, help="decide linearity of S(k,l)")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-
-    p = add("witness", cmd_witness, help="construct a verified witness for S(k,l)")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p = add("witness", cmd_witness, "construct a verified witness for S(k,l)", "--k", "--l")
     p.add_argument("--kind", choices=["auto", "linear", "spliced"], default="auto")
 
-    p = add("reineke", cmd_reineke, help="standard charge making all A_n modules stable")
-    p.add_argument("--quiver", required=True)
+    add("reineke", cmd_standard_charge, "standard charge making all A_n modules stable")
+    add("dn-charge", cmd_standard_charge, "standard charge with stable set S(k) on a cycle",
+        "--k")
 
-    p = add("dn-charge", cmd_dn_charge, help="standard charge with stable set S(k) on a cycle")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("collapse", cmd_collapse, help="collapse arrows and project S(k,l)")
-    p.add_argument("--quiver", required=True)
+    p = add("collapse", cmd_collapse, "collapse arrows and project S(k,l)")
     p.add_argument("--arrows", required=True, help='comma list, e.g. "1,4"')
     p.add_argument("--k", type=int)
     p.add_argument("--l", type=int)
 
-    p = add("render", cmd_render, help="emit a chord or wire diagram as SVG")
+    p = add("render", cmd_render, "emit a chord or wire diagram as SVG", json_flag=False)
+    # "-<digit>..." and "-.<digit>..." are values, as on Python >= 3.13: "-1/2" is no option
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.add_argument("mode", choices=["chord", "wire"])
-    p.add_argument("--quiver", required=True)
     p.add_argument("--charge", required=True)
     p.add_argument("--charge-prime", help="second charge of a spliced path")
     p.add_argument("-o", "--output")
     p.add_argument("--window", nargs=2, type=str, metavar=("T0", "T1"))
 
-    p = add("verify", cmd_verify, help="criterion-equivalence fuzz")
-    p.add_argument("--quiver", action="append", required=True,
-                   help="repeatable quiver spec")
+    p = add("verify", cmd_verify, "criterion-equivalence fuzz",
+            action="append", help="repeatable quiver spec")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--max-denominator", type=int, default=64)
@@ -295,16 +246,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if isinstance(args.quiver, list):  # verify repeats --quiver
+            q = [parse_quiver(spec) for spec in args.quiver]
+        else:
+            q = parse_quiver(args.quiver)
+        lines, payload = args.fn(q, args)
+        if args.json:
+            lines = [json.dumps(payload, sort_keys=True)]
+        sys.stdout.writelines(f"{line}\n" for line in lines)
+        return 1 if args.command == "verify" and payload["mismatches"] else 0
     except GreenseqError as err:
-        sys.stderr.write(json.dumps(err.payload(), sort_keys=True) + "\n")
-        return 1
+        error = err.payload()
     except ValueError as err:
-        sys.stderr.write(json.dumps({"error": "value-error", "message": str(err)}) + "\n")
-        return 1
+        error = {"error": "value-error", "message": str(err)}
     except OSError as err:
-        sys.stderr.write(json.dumps({"error": "os-error", "message": str(err)}) + "\n")
-        return 1
+        error = {"error": "os-error", "message": str(err)}
+    sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
+    return 1
 
 
 if __name__ == "__main__":

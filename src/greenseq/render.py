@@ -59,6 +59,10 @@ _CHORD_TAIL = {
 # shared by every call: a division only raises its flags, which nothing reads
 _DECIMAL = Context(prec=12)
 
+# a chord window (T0, T1) of width W = T1 - T0 holds W(W+1)/2 pairs (i, j);
+# a wider one is refused before any pair is listed
+MAX_WINDOW_PAIRS = 50_000
+
 
 def _axis(lo: Fraction, span: Fraction, start: int, length: int):
     """The viewport map v -> start + length * (v - lo) / span of one axis
@@ -109,6 +113,9 @@ def _chord_pairs(q, window) -> list[tuple[int, int]]:
     lo, hi = _bounds(window, int)
     if not q.is_cyclic and (lo < 0 or hi > q.n):
         raise ValueError(f"bad window {window!r}: chord ends on {q.label()} lie in [0, {q.n}]")
+    count = (hi - lo) * (hi - lo + 1) // 2
+    if count > MAX_WINDOW_PAIRS:
+        raise ValueError(f"window {window!r} too wide: {count} pairs, more than {MAX_WINDOW_PAIRS}")
     return [
         (i, j)
         for i in range(lo, hi)

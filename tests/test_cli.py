@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -72,7 +75,7 @@ class TestChargeValidation:
     @pytest.mark.parametrize(
         "charge",
         ['{"a":[1,2]}', '{"a":["1/0",1],"b":[1,1]}', "[1,2]", '{"a":[true,1],"b":[1,1]}',
-         '{"a":["1e100000",1],"b":[1,1]}'],
+         '{"a":["1e100000",1],"b":[1,1]}', "nope", "{", "{'a': [1], 'b': [1]}"],
     )
     @pytest.mark.parametrize("command", ["stable-set", "mgs"])
     def test_malformed_charge_is_json_exit1(self, capsys, command, charge):
@@ -181,6 +184,24 @@ class TestSubcommands:
         assert payload["error"] == "value-error"
         assert "window" in payload["message"]
 
+    def test_render_negative_rational_window(self, capsys):
+        argv = ["render", "wire", "--quiver", "A:-+", "--charge", FIG1_CHARGE, "--window"]
+        code, decimal, _ = run(capsys, *argv, "-0.5", "3")
+        assert code == 0
+        assert run(capsys, *argv, "-1/2", "3") == (0, decimal, "")
+
+    def test_render_wide_chord_window_refused(self, capsys):
+        # 80,200 pairs: over the cap, yet cheap to draw were it not there
+        code, out, err = run(capsys, "render", "chord", "--quiver", "At:+-",
+                             "--charge", '{"a":[1,-1],"b":[1,1]}', "--window", "0", "400")
+        assert (code, out) == (1, "")
+        assert "too wide" in json.loads(err)["message"]
+
+    def test_render_has_no_json_flag(self):
+        with pytest.raises(SystemExit) as err:
+            main(["render", "chord", "--quiver", "A:-+", "--charge", FIG1_CHARGE, "--json"])
+        assert err.value.code == 2
+
     def test_render_spliced_wire(self, capsys):
         q = gs.affine_a("+--")
         p = gs.witness_spliced(q, 1, 2)
@@ -268,10 +289,19 @@ def _run_captured(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _refusal(argv) -> dict:
+    """The error payload of a refused command line: exit 1, nothing on
+    stdout and exactly one JSON line on stderr.  An uncaught exception
+    would escape main() here, as a traceback does."""
+    code, out, err = _run_captured(argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    return json.loads(err)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_render_refuses_malformed_window_or_charge(data):
-    # an uncaught exception would escape main() here, as a traceback does
     spec, charge = data.draw(st.sampled_from(_RENDER_CASES))
     q = gs.parse_quiver(spec)
     mode = data.draw(st.sampled_from(["chord", "wire"]))
@@ -280,13 +310,93 @@ def test_render_refuses_malformed_window_or_charge(data):
         argv += ["--charge", charge, "--window", *data.draw(_malformed_window(mode, q))]
     else:
         argv += ["--charge", data.draw(_malformed_charge(q.n))]
-    code, out, err = _run_captured(argv)
-    assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and err.endswith("\n")
-    payload = json.loads(err)
+    payload = _refusal(argv)
     assert payload["error"] in ("value-error", "invalid-charge")
     if "--window" in argv:
         assert "window" in payload["message"]
+
+
+# the rest of a valid command line after --quiver, per subcommand
+_TAILS = {
+    "quiver": [], "maxsets": [], "reineke": [],
+    "stable-set": ["--charge", FIG1_CHARGE], "mgs": ["--charge", FIG1_CHARGE],
+    "linearity": ["--k", "1", "--l", "2"], "witness": ["--k", "1", "--l", "2"],
+    "dn-charge": ["--k", "1"], "collapse": ["--arrows", "1"],
+    "render": ["--charge", FIG1_CHARGE], "verify": ["--trials", "1"],
+}
+_NOT_SIGNS = st.text("+-x 0", min_size=1, max_size=6).filter(lambda w: set(w) - set("+-"))
+# no word starts with "-", which argparse would take for an option; Dcyc
+# sizes stay small, since Dcyc:<n> allocates n signs
+_MALFORMED_QUIVER = st.one_of(
+    st.sampled_from(["", ":", "A", "At", "Dcyc", "A+-", "At:", "At:+", "At:++--+x", "Dcyc:"]),
+    st.builds("{}:{}".format, st.sampled_from(["a", "B", "AT", "dcyc", "A t", "Q"]),
+              st.text("+-", max_size=4)),
+    st.builds("A:{}".format, _NOT_SIGNS),
+    st.builds("At:{}".format, _NOT_SIGNS | st.sampled_from(["+", "-", "++", "---"])),
+    st.builds("Dcyc:{}".format, st.integers(-99, 3).map(str) | st.sampled_from(
+        ["x", "4.0", "1/2", "0x5", "5 5", "", "1e3"])),
+)
+
+
+def _outside(lo, hi):
+    """Integers outside [lo, hi], also very large ones."""
+    return st.integers(max_value=lo - 1) | st.integers(min_value=hi + 1)
+
+
+@st.composite
+def _out_of_range_k_l(draw):
+    """(k, l) with k outside [1, n] or l outside (k, k + n), n = 5 as on At:-++--."""
+    n = 5
+    if draw(st.booleans()):
+        k, l = draw(_outside(1, n)), draw(st.integers())
+    else:
+        k = draw(st.integers(1, n))
+        l = draw(_outside(k + 1, k + n - 1))
+    return ["--k", str(k), "--l", str(l)]
+
+
+def _too_many_arrows(n):
+    """Arrow lists naming more than n - 2 distinct positions mod n, or a
+    token that is not an integer."""
+    # a first arrow >= 0, as a leading "-" would read as an option
+    shifts = st.tuples(st.integers(0, 3), st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    shifted = shifts.map(lambda s: ",".join(
+        str(x + k * n) for x, k in zip(range(1, n + 1), [s[0], *s[1]])))
+    return (st.builds(lambda w, m: w.rsplit(",", m)[0], shifted, st.integers(0, 1))
+            | st.sampled_from(["x", "1,y", "1.5", "1;2", "0x1"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_subcommands_refuse_malformed_input(data):
+    """Malformed --quiver text on every subcommand, a malformed charge on
+    stable-set and mgs, and --k/--l/--arrows out of range each exit 1
+    with one JSON line on stderr."""
+    case = data.draw(st.sampled_from(["quiver", "charge", "k-l", "dn-k", "arrows"]))
+    if case == "quiver":
+        command = data.draw(st.sampled_from(sorted(_TAILS)))
+        head = ["render", "chord"] if command == "render" else [command]
+        argv = head + ["--quiver", data.draw(_MALFORMED_QUIVER)] + _TAILS[command]
+        expected = "invalid-quiver"
+    elif case == "charge":
+        spec, _ = data.draw(st.sampled_from(_RENDER_CASES))
+        charge = data.draw(_malformed_charge(gs.parse_quiver(spec).n))
+        argv = [data.draw(st.sampled_from(["stable-set", "mgs"])), "--quiver", spec,
+                "--charge", charge]
+        expected = "invalid-charge"
+    elif case == "k-l":
+        command = data.draw(st.sampled_from(
+            [["linearity"], ["witness"], ["collapse", "--arrows", "1"]]))
+        argv = command + ["--quiver", "At:-++--"] + data.draw(_out_of_range_k_l())
+        expected = "value-error"
+    elif case == "dn-k":
+        argv = ["dn-charge", "--quiver", "Dcyc:5", "--k", str(data.draw(_outside(1, 5)))]
+        expected = "value-error"
+    else:
+        arrows = data.draw(_too_many_arrows(5))
+        argv = ["collapse", "--quiver", "At:-++--", "--arrows", arrows]
+        expected = "value-error" if re.search(r"[^0-9,-]", arrows) else "invalid-quiver"
+    assert _refusal(argv)["error"] == expected
 
 
 class TestVerify:
@@ -327,6 +437,13 @@ class TestVerify:
             {"module": {"i": 1, "j": 3}, "oracle": 1, "chord": 1, "wire": 0,
              "charge": fig1.to_json(), "trial": 0}
         ]
+
+    @pytest.mark.parametrize("flag", ["--trials", "--jobs"])
+    def test_negative_count_refused(self, capsys, flag):
+        code, out, err = run(capsys, "verify", "--quiver", "A:-+", flag, "-5")
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["error"] == "value-error" and flag in payload["message"]
 
     def test_jobs_capped_at_trials(self, capsys, monkeypatch):
         """A pool forks all its workers up front: --jobs beyond the trial
@@ -369,3 +486,15 @@ class TestVerify:
         assert code == 0
         assert sizes == [4]
         assert parallel == serial
+
+
+def test_readme_cli_block_runs(capsys, tmp_path, monkeypatch):
+    """Every ``greenseq ...`` line of the README's CLI section exits 0."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("greenseq ")]
+    assert len(lines) >= 11
+    monkeypatch.chdir(tmp_path)  # one line writes a file
+    for line in lines:
+        code, _, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert (code, err) == (0, ""), line

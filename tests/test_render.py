@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import greenseq as gs
+from greenseq import render
 from greenseq.charges import as_fraction
 from greenseq.stability import _chord, _slope_pair, candidate_pairs, halves
 
@@ -242,6 +243,25 @@ class TestChord:
         with pytest.raises(ValueError, match="window") as err:
             gs.render_chord_svg(FIG1, window=window)
         assert not isinstance(err.value, gs.GreenseqError)
+
+    def test_wide_window_refused_before_listing(self, monkeypatch):
+        def short_range(*args):
+            # a tripwire: should the cap fail, fail here, before listing 5e17 pairs
+            assert len(range(*args)) <= 1000, "the window's pairs were listed"
+            return range(*args)
+
+        monkeypatch.setattr(render, "range", short_range, raising=False)
+        Z = gs.make_charge(gs.affine_a("+-"), [1, -1], [1, 1])
+        with pytest.raises(ValueError, match=r"window \(0, 1000000000\) too wide") as err:
+            gs.render_chord_svg(Z, window=(0, 10**9))
+        assert str(render.MAX_WINDOW_PAIRS) in str(err.value)
+        monkeypatch.undo()
+        # the widest window under the cap draws; one wider does not
+        width = max(w for w in range(1000) if w * (w + 1) // 2 <= render.MAX_WINDOW_PAIRS)
+        gs.render_chord_svg(gs.make_charge(gs.cycle_quiver(4), [1, -1, 2, -2], [1, 1, 1, 1]),
+                            window=(-width, 0))
+        with pytest.raises(ValueError, match="too wide"):
+            gs.render_chord_svg(Z, window=(5, 5 + width + 1))
 
     def test_cycle_window_draws_only_modules(self):
         # strings of length >= n are not modules of the truncated cycle;
