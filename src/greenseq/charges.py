@@ -59,8 +59,8 @@ class IntContext:
     __slots__ = ("ya", "xb", "la", "lb", "span", "sig")
 
     def __init__(self, charge: "CentralCharge", span: int):
-        la = lcm(*(v.denominator for v in charge.a))
-        lb = lcm(*(v.denominator for v in charge.b))
+        la = lcm(*[v.denominator for v in charge.a])
+        lb = lcm(*[v.denominator for v in charge.b])
         q = charge.quiver
         n = q.n
         ya = [0] * (span + 1)
@@ -113,11 +113,12 @@ class CentralCharge:
 
     @cached_property
     def _classes(self) -> tuple:
-        """Every semistable candidate as (module, slope, is_stable), from
-        one sweep per charge; see :func:`greenseq.stability.classify`."""
-        from .stability import classify  # stability imports this module
+        """Every semistable candidate as the integer record (i, j, dy, dx,
+        is_stable), from one sweep per charge; see
+        :func:`greenseq.stability._sweep`."""
+        from .stability import _sweep  # stability imports this module
 
-        return classify(self)
+        return _sweep(self)
 
     def _cum(self, t: int) -> tuple[int, int]:
         """(la * y_t, lb * x_t) from the integer context, periodically
@@ -171,7 +172,12 @@ class CentralCharge:
 
 def make_charge(q: Quiver, a, b) -> CentralCharge:
     """Build a charge from rationals given as Fraction, int or 'p/q' strings."""
-    return CentralCharge(q, tuple(as_fraction(v) for v in a), tuple(as_fraction(v) for v in b))
+    # List forms, here and on every per-op path of the library, not
+    # tuple(<generator>) or f(*<generator>): those build a 10-slot tuple
+    # and resize it, so each call leaves one more freed tuple of its final
+    # length on CPython's per-length free lists (kept up to 2000 each) and
+    # takes none back, and a long run's memory creeps up.
+    return CentralCharge(q, tuple([as_fraction(v) for v in a]), tuple([as_fraction(v) for v in b]))
 
 
 def charge_from_json(q: Quiver, data: dict) -> CentralCharge:
@@ -196,7 +202,7 @@ def normalize(Z: CentralCharge) -> CentralCharge:
     c = _total_slope(Z)
     if c == 0:
         return Z
-    return CentralCharge(Z.quiver, tuple(av - c * bv for av, bv in zip(Z.a, Z.b)), Z.b)
+    return CentralCharge(Z.quiver, tuple([av - c * bv for av, bv in zip(Z.a, Z.b)]), Z.b)
 
 
 def critical_slope(Z: CentralCharge) -> Fraction:
@@ -231,7 +237,7 @@ def height_order(Z: CentralCharge) -> tuple[tuple[int, ...], ...]:
     groups: dict[int, list[int]] = {}
     for t, h in heights.items():
         groups.setdefault(h, []).append(t)
-    return tuple(tuple(sorted(groups[h])) for h in sorted(groups))
+    return tuple([tuple(sorted(groups[h])) for h in sorted(groups)])
 
 
 def essential_pairs(Z: CentralCharge) -> list[tuple[int, int]]:

@@ -15,7 +15,6 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 
 from . import __version__
@@ -152,6 +151,8 @@ def cmd_verify(quivers, args):
     for flag, value in (("--trials", args.trials), ("--jobs", args.jobs or 0)):
         if value < 0:
             raise ValueError(f"{flag} must not be negative, got {value}")
+    if args.max_denominator < 1:
+        raise ValueError(f"--max-denominator must be positive, got {args.max_denominator}")
     # a pool forks all its workers up front, so never more than there are trials
     jobs = max(1, min(args.jobs or 1, args.trials))
     chunk = max(1, args.trials // jobs)
@@ -161,6 +162,10 @@ def cmd_verify(quivers, args):
         for s in range(0, args.trials, chunk)
     ]
     if jobs > 1:
+        # imported here: the process pool pulls in multiprocessing, about
+        # 2 MB that no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_fuzz_chunk, tasks))
     else:

@@ -66,13 +66,35 @@ class SpliceInvalid(GreenseqError):
     code = "splice-invalid"
 
 
-class WitnessSearchFailed(GreenseqError):
+class _CertificationError(GreenseqError):
+    """A construction missed its target stable set.
+
+    ``missing`` lists the target modules the charge does not make stable
+    and ``extra`` the stable modules outside the target, both sorted by
+    (i, j); both are empty when the failure is not a set mismatch.
+    """
+
+    def __init__(self, message: str, missing=(), extra=()):
+        self.missing = tuple(missing)
+        self.extra = tuple(extra)
+        super().__init__(message)
+
+    def payload(self) -> dict:
+        return {
+            "error": self.code,
+            "missing": [{"i": m.i, "j": m.j} for m in self.missing],
+            "extra": [{"i": m.i, "j": m.j} for m in self.extra],
+            "message": str(self),
+        }
+
+
+class WitnessSearchFailed(_CertificationError):
     """No charge in the retry schedule realized the requested stable set."""
 
     code = "witness-search-failed"
 
 
-class VerificationFailed(GreenseqError):
+class VerificationFailed(_CertificationError):
     """A constructed charge failed its mandatory post-verification."""
 
     code = "verification-failed"

@@ -10,10 +10,11 @@ nonlinearity witness.
 The constructors below share one path: template coordinates for the
 dual vertices, one polygon-to-charge step (:func:`_through`) and one
 certifier (:func:`_certify`).  None returns an unverified charge: the
-certifier compares the stable set (the sweep of
-:func:`stability.classify`) with the target, re-checks every member
-with the chord and wire kernels, and raises unless the target set is
-hit exactly.
+certifier compares the (i, j) pairs of the stable set (the integer
+records of the charge's sweep, see :mod:`greenseq.stability`) with the
+target, re-checks every member with the chord and wire kernels, and
+raises unless the target set is hit exactly.  A failed comparison names
+the missing and extra modules in its message and carries them as data.
 """
 
 from __future__ import annotations
@@ -24,16 +25,8 @@ from fractions import Fraction
 from .charges import CentralCharge, make_charge
 from .errors import InfiniteStableSet, InvalidQuiver, VerificationFailed, WitnessSearchFailed
 from .maxsets import build_Sk, build_Skl, check_pair, valid_pairs
-from .quivers import MINUS, PLUS, Quiver, QuiverKind, affine_a
-from .stability import (
-    SplicedPath,
-    _chord,
-    _slope_pair,
-    _wire,
-    candidate_modules,
-    halves,
-    modules_sorted,
-)
+from .quivers import MINUS, PLUS, Quiver, QuiverKind, StringModule, affine_a
+from .stability import SplicedPath, _chord, _pieces, _wire, candidate_modules
 
 F = Fraction
 
@@ -113,20 +106,28 @@ def _certify(path, target, err: type[Exception], what: str) -> None:
     spliced path, is exactly ``target`` and the chord and wire criteria
     both call each member stable under the charge that rules it.
 
-    Members come from their charge's sweep, so they are canonical and
-    inside its integer context: the kernels run on them directly.
+    The comparison runs on (i, j) pairs of the sweep's records; modules
+    are built only to name the missing and extra ones, which the error
+    also carries as its ``missing`` and ``extra`` tuples.  Records are
+    canonical, inside their charge's integer context and carry their
+    slope pair, so the kernels run on them directly.
     """
-    parts = halves(path)
-    got = frozenset(m for _, members in parts for m, _ in members)
-    if got != target:
-        missing = modules_sorted(target - got)
-        extra = modules_sorted(got - target)
-        raise err(f"{what}: stable set mismatch (missing {missing}, extra {extra})")
-    for Z, members in parts:
-        for m, _ in members:
-            slope = _slope_pair(Z, m.i, m.j)
-            if not (_chord(Z, m.i, m.j, slope) > 0 and _wire(Z, m.i, m.j, slope) > 0):
-                raise err(f"{what}: criteria disagree on {m!r}")
+    parts = _pieces(path)
+    got = {(i, j) for _, records in parts for i, j, _, _, stable in records if stable}
+    want = {(m.i, m.j) for m in target}
+    if got != want:
+        q = parts[0][0].quiver
+        missing = [StringModule(q, i, j) for i, j in sorted(want - got)]
+        extra = [StringModule(q, i, j) for i, j in sorted(got - want)]
+        raise err(
+            f"{what}: stable set mismatch (missing {missing}, extra {extra})",
+            missing=missing,
+            extra=extra,
+        )
+    for Z, records in parts:
+        for i, j, dy, dx, stable in records:
+            if stable and not (_chord(Z, i, j, (dy, dx)) > 0 and _wire(Z, i, j, (dy, dx)) > 0):
+                raise err(f"{what}: criteria disagree on {StringModule(Z.quiver, i, j)!r}")
 
 
 def reineke_charge(q: Quiver) -> CentralCharge:
@@ -141,7 +142,7 @@ def reineke_charge(q: Quiver) -> CentralCharge:
         raise InvalidQuiver("the all-stable construction applies to A_n")
     n = q.n
     target = frozenset(candidate_modules(q))
-    last_err: Exception | None = None
+    last_err: VerificationFailed | None = None
     for scale in (1, 2, 3):
         heights = [0] * (n + 1)
         for s in range(1, n):
@@ -153,7 +154,11 @@ def reineke_charge(q: Quiver) -> CentralCharge:
             return Z
         except VerificationFailed as err:
             last_err = err
-    raise VerificationFailed(f"no all-stable charge found for {q.label()}: {last_err}")
+    raise VerificationFailed(
+        f"no all-stable charge found for {q.label()}: {last_err}",
+        missing=last_err.missing,
+        extra=last_err.extra,
+    )
 
 
 def dn_charge(q: Quiver, k: int) -> CentralCharge:
@@ -234,7 +239,7 @@ def _unmirror_charge(q: Quiver, Zm: CentralCharge) -> CentralCharge:
     """Pull a charge back through the flip: a_i = -a*_{1-i}, b_i = b*_{1-i}."""
     n = q.n
     rev = [((1 - i) % n or n) - 1 for i in range(1, n + 1)]
-    return CentralCharge(q, tuple(-Zm.a[r] for r in rev), tuple(Zm.b[r] for r in rev))
+    return CentralCharge(q, tuple([-Zm.a[r] for r in rev]), tuple([Zm.b[r] for r in rev]))
 
 
 def witness_linear(q: Quiver, k: int, l: int) -> CentralCharge:
@@ -264,7 +269,9 @@ def witness_linear(q: Quiver, k: int, l: int) -> CentralCharge:
         except (VerificationFailed, InfiniteStableSet) as err:
             last_err = err
     raise WitnessSearchFailed(
-        f"linear witness for S({k},{l}) on {q.label()} failed at every eps: {last_err}"
+        f"linear witness for S({k},{l}) on {q.label()} failed at every eps: {last_err}",
+        missing=getattr(last_err, "missing", ()),
+        extra=getattr(last_err, "extra", ()),
     )
 
 

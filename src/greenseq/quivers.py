@@ -96,10 +96,10 @@ class Quiver:
         return self.signs[(i - 1) % self.n]
 
     def positives(self) -> tuple[int, ...]:
-        return tuple(t for t in range(1, self.n + 1) if self.sign(t) == PLUS)
+        return tuple([t for t in range(1, self.n + 1) if self.sign(t) == PLUS])
 
     def negatives(self) -> tuple[int, ...]:
-        return tuple(t for t in range(1, self.n + 1) if self.sign(t) == MINUS)
+        return tuple([t for t in range(1, self.n + 1) if self.sign(t) == MINUS])
 
     def sign_word(self) -> str:
         return "".join(_SIGN_NAMES[s] for s in self.signs)
@@ -132,7 +132,7 @@ class Quiver:
 
 def _parse_word(word: str) -> tuple[int, ...]:
     try:
-        return tuple(_SIGN_CHARS[c] for c in word)
+        return tuple([_SIGN_CHARS[c] for c in word])
     except KeyError as exc:
         raise InvalidQuiver(f"bad sign character in {word!r}") from exc
 
@@ -148,9 +148,16 @@ def affine_a(word: str) -> Quiver:
     return Quiver(QuiverKind.AFFINE_A, _parse_word(word))
 
 
+#: Largest oriented cycle: a cycle stores its n signs, so a larger size
+#: is refused before they are allocated.
+MAX_CYCLE_SIZE = 1_000_000
+
+
 def cycle_quiver(n: int) -> Quiver:
     if n < 4:
         raise InvalidQuiver("oriented cycle needs n >= 4")
+    if n > MAX_CYCLE_SIZE:
+        raise InvalidQuiver(f"oriented cycle size {n} exceeds the cap of {MAX_CYCLE_SIZE}")
     return Quiver(QuiverKind.CYCLE, (PLUS,) * n)
 
 

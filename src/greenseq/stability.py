@@ -3,8 +3,9 @@
 Three equivalent tests decide (semi)stability of a string module M(i, j)
 under a charge Z:
 
-* oracle - compare the slope of every proper indecomposable submodule
-  against the slope of the module (the definition, run literally);
+* oracle - compare the slope of M(i, j) with the slope of each of its
+  proper indecomposable submodules M(p, r), one walk over the interior
+  ends that keeps the best left end so far;
 * chord  - every intermediate positive dual vertex must sit on/above the
   chord p_i p_j and every negative one on/below;
 * wire   - at the crossing abscissa of wires i and j, every intermediate
@@ -13,9 +14,16 @@ under a charge Z:
 All three are implemented on the exact integer context of the charge,
 each as one kernel that answers unstable, semistable or stable at once,
 and are exposed separately; the fuzz entry point checks that they agree.
-Stable sets, green sequences and splices do not run them: they read
-:func:`classify`, one integer sweep per charge that decides stability,
-semistability and the slope of every candidate at once.
+
+Stable sets, green sequences and splices do not run them.  They read
+``Z._classes``, one integer sweep per charge (:func:`_sweep`) that keeps
+every semistable candidate as the record ``(i, j, dy, dx, is_stable)``:
+the module's ends and its slope as the integer pair (dy, dx) of the
+charge's context, where slope = dy*lb / (dx*la) and dx > 0.  Readers sort,
+split and compare on these integers.  ``StringModule`` and ``Fraction``
+objects are built only where a caller gets them back: :func:`classify`,
+:func:`stable_set`, :func:`halves` (what the CLI and the renderers read),
+the entries of a :class:`GreenSequence` and the culprits of an error.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ def in_wall(x, m: StringModule) -> WallMembership:
     negative.  Checking indecomposable submodules suffices because the
     dimension vector of any submodule is a sum of indecomposable ones.
     """
-    xs = tuple(as_fraction(v) for v in x)
+    xs = [as_fraction(v) for v in x]
     dim = m.dim_vector()
     if len(xs) != len(dim):
         raise ValueError(f"point has length {len(xs)}, expected {len(dim)}")
@@ -226,19 +234,19 @@ def candidate_pairs(q: Quiver) -> tuple[tuple[int, int], ...]:
     return pairs
 
 
-def _enumerate_pairs(q: Quiver) -> Iterable[tuple[int, int]]:
+def _enumerate_pairs(q: Quiver) -> list[tuple[int, int]]:
     n = q.n
     if q.kind is QuiverKind.FINITE_A:
-        return ((i, j) for i in range(n + 1) for j in range(i + 1, n + 1))
+        return [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
     if q.kind is QuiverKind.CYCLE:
-        return ((i, i + d) for i in range(n) for d in range(1, n))
+        return [(i, i + d) for i in range(n) for d in range(1, n)]
     signs = q.signs  # sign(t) = signs[(t - 1) % n]
-    return (
+    return [
         (i, i + d)
         for i in range(n)
         for d in range(1, 2 * n)
         if d < n or signs[i - 1] != signs[(i + d - 1) % n]
-    )
+    ]
 
 
 def candidate_modules(q: Quiver) -> list[StringModule]:
@@ -247,7 +255,22 @@ def candidate_modules(q: Quiver) -> list[StringModule]:
 
 def classify(Z: CentralCharge) -> tuple[tuple[StringModule, Fraction, bool], ...]:
     """Every semistable candidate of Z as (module, slope, is_stable),
-    sorted by (i, j).  Charges keep the result as ``Z._classes``.
+    sorted by (i, j): the object view of the records ``Z._classes``,
+    which the charge keeps from one :func:`_sweep`.  Raises
+    :class:`InfiniteStableSet` on an affine charge that is not finite."""
+    q = Z.quiver
+    la, lb = Z._ctx.la, Z._ctx.lb
+    return tuple([
+        (StringModule(q, i, j), Fraction(dy * lb, dx * la), stable)
+        for i, j, dy, dx, stable in Z._classes
+    ])
+
+
+def _sweep(Z: CentralCharge) -> tuple[tuple[int, int, int, int, bool], ...]:
+    """Every semistable candidate of Z as the record (i, j, dy, dx,
+    is_stable), sorted by (i, j); (dy, dx) is the module's slope as an
+    integer pair of ``Z._ctx`` with dx > 0.  Builds no module and no
+    Fraction.
 
     The chord criterion as a sweep: for fixed i, p_k lies above the chord
     p_i p_j exactly when slope(p_i p_k) > slope(p_i p_j), so walking j
@@ -265,7 +288,7 @@ def classify(Z: CentralCharge) -> tuple[tuple[StringModule, Fraction, bool], ...
     if q.kind is QuiverKind.AFFINE_A and not is_finite(Z):
         raise InfiniteStableSet(f"no essential pair for charge {Z!r}")
     ctx = Z._ctx
-    ya, xb, sig, la, lb = ctx.ya, ctx.xb, ctx.sig, ctx.la, ctx.lb
+    ya, xb, sig = ctx.ya, ctx.xb, ctx.sig
     out = []
     left = None
     for i, j in candidate_pairs(q):
@@ -287,9 +310,7 @@ def classify(Z: CentralCharge) -> tuple[tuple[StringModule, Fraction, bool], ...
         above_lo = dy * lo_x - lo_y * dx
         below_hi = hi_y * dx - dy * hi_x
         if above_lo >= 0 and below_hi >= 0:
-            out.append(
-                (StringModule(q, i, j), Fraction(dy * lb, dx * la), above_lo > 0 and below_hi > 0)
-            )
+            out.append((i, j, dy, dx, above_lo > 0 and below_hi > 0))
         elif lo_y * hi_x > hi_y * lo_x:
             k = -1  # lo > hi: no longer module from this i is semistable
     return tuple(out)
@@ -299,7 +320,7 @@ def stable_set(
     Z: CentralCharge, include_semistable: bool = False
 ) -> frozenset[StringModule]:
     """All stable modules of Z (with the flag: all semistable modules)."""
-    return frozenset(m for m, _, stable in Z._classes if stable or include_semistable)
+    return _modules(_pieces(Z), include_semistable)
 
 
 @dataclass(frozen=True)
@@ -314,10 +335,10 @@ class GreenSequence:
             raise ValueError("green sequence slopes must strictly increase")
 
     def modules(self) -> tuple[StringModule, ...]:
-        return tuple(m for m, _ in self.entries)
+        return tuple([m for m, _ in self.entries])
 
     def slopes(self) -> tuple[Fraction, ...]:
-        return tuple(s for _, s in self.entries)
+        return tuple([s for _, s in self.entries])
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -336,22 +357,29 @@ class GreenSequence:
 
 def _green(target) -> GreenSequence:
     """Slope-sort the stable modules of each half of a charge or spliced
-    path, refusing strict semistables and ties."""
+    path, refusing strict semistables and ties.
+
+    Within a half every slope is dy*lb / (dx*la) with one (la, lb), so
+    the half sorts on dy/dx.  With D the half's largest dx, two distinct
+    such slopes differ by at least 1/D^2, so the integer floor(dy*D^2/dx)
+    orders them and is equal exactly on a tie.  Records come in (i, j)
+    order; the key keeps it among equal slopes.  Objects are built only
+    for the returned entries or the culprits."""
     entries = []
-    for _, classes in _pieces(target):
-        strict = [m for m, _, stable in classes if not stable]
+    for Z, records in _pieces(target):
+        q = Z.quiver
+        strict = [StringModule(q, i, j) for i, j, _, _, stable in records if not stable]
         if strict:
             raise NonGeneric("strict-semistable", strict)
-        # floor(s * 2**64) orders like s but compares as a plain int; only
-        # equal floors fall through to comparing the Fractions themselves
-        half = sorted(
-            ((m, s) for m, s, _ in classes),
-            key=lambda e: ((e[1].numerator << 64) // e[1].denominator, e[1], e[0].i, e[0].j),
-        )
-        for (m1, s1), (m2, s2) in zip(half, half[1:]):
-            if s1 == s2:
-                raise NonGeneric("tie", [m1, m2])
-        entries += half
+        if not records:
+            continue
+        d2 = max([r[3] for r in records]) ** 2
+        half = sorted([(dy * d2 // dx, i, j, dy, dx) for i, j, dy, dx, _ in records])
+        for (k1, i1, j1, _, _), (k2, i2, j2, _, _) in zip(half, half[1:]):
+            if k1 == k2:
+                raise NonGeneric("tie", [StringModule(q, i1, j1), StringModule(q, i2, j2)])
+        la, lb = Z._ctx.la, Z._ctx.lb
+        entries += [(StringModule(q, i, j), Fraction(dy * lb, dx * la)) for _, i, j, dy, dx in half]
     return GreenSequence(tuple(entries))
 
 
@@ -382,20 +410,32 @@ class SplicedPath:
         if self.z.a != self.z_prime.a:
             raise SpliceInvalid("spliced charges must share the a-vector")
         for tag, Z in (("first charge", self.z), ("second charge", self.z_prime)):
-            for m, s, _ in Z._classes:
-                if s == 0:
+            for i, j, dy, _, _ in Z._classes:
+                if dy == 0:
+                    m = StringModule(Z.quiver, i, j)
                     raise SpliceInvalid(f"{tag} has a semistable module of slope 0: {m!r}")
 
 
 def _pieces(target) -> tuple:
-    """(charge, its semistable candidates as (module, slope, is_stable))
-    per half of a charge or a spliced path; see :func:`halves`."""
+    """(charge, its records (i, j, dy, dx, is_stable)) per half of a
+    charge or a spliced path; see :func:`halves`.  A slope has the sign
+    of its dy."""
     if isinstance(target, SplicedPath):
         return (
-            (target.z, [c for c in target.z._classes if c[1] < 0]),
-            (target.z_prime, [c for c in target.z_prime._classes if c[1] > 0]),
+            (target.z, [r for r in target.z._classes if r[2] < 0]),
+            (target.z_prime, [r for r in target.z_prime._classes if r[2] > 0]),
         )
     return ((target, target._classes),)
+
+
+def _modules(pieces, include_semistable: bool) -> frozenset[StringModule]:
+    """The stable (with the flag: semistable) modules of ``_pieces``."""
+    return frozenset([
+        StringModule(Z.quiver, i, j)
+        for Z, records in pieces
+        for i, j, _, _, stable in records
+        if stable or include_semistable
+    ])
 
 
 def halves(
@@ -406,11 +446,17 @@ def halves(
     (i, j) order.  A charge gives one pair.  A spliced path gives two: the
     negative-slope members of z and the positive-slope members of z_prime.
     The two charges share the a-vector, so a module's slope has the same
-    sign under both and no module is in both halves."""
-    return [
-        (Z, [(m, s) for m, s, stable in classes if stable or include_semistable])
-        for Z, classes in _pieces(target)
-    ]
+    sign under both and no module is in both halves.  This is the object
+    view of the records that the CLI and the renderers read."""
+    out = []
+    for Z, records in _pieces(target):
+        q, la, lb = Z.quiver, Z._ctx.la, Z._ctx.lb
+        out.append((Z, [
+            (StringModule(q, i, j), Fraction(dy * lb, dx * la))
+            for i, j, dy, dx, stable in records
+            if stable or include_semistable
+        ]))
+    return out
 
 
 def spliced_stable_set(
@@ -418,7 +464,7 @@ def spliced_stable_set(
 ) -> frozenset[StringModule]:
     """Union of the negative-slope part of z and the positive-slope part
     of z_prime."""
-    return frozenset(m for _, members in halves(p, include_semistable) for m, _ in members)
+    return _modules(_pieces(p), include_semistable)
 
 
 def spliced_mgs(p: SplicedPath) -> GreenSequence:
@@ -430,8 +476,8 @@ def spliced_mgs(p: SplicedPath) -> GreenSequence:
 
 
 def random_charge(q: Quiver, rng: XorShift64Star, max_den: int = 64) -> CentralCharge:
-    a = tuple(rng.rational(max_den, signed=True) for _ in range(q.n))
-    b = tuple(rng.rational(max_den, signed=False) for _ in range(q.n))
+    a = tuple([rng.rational(max_den, signed=True) for _ in range(q.n)])
+    b = tuple([rng.rational(max_den, signed=False) for _ in range(q.n)])
     return CentralCharge(q, a, b)
 
 

@@ -33,6 +33,12 @@ class TestBasics:
         assert code == 1
         assert json.loads(err)["error"] == "invalid-quiver"
 
+    def test_huge_cycle_refused(self, capsys):
+        code, out, err = run(capsys, "quiver", "--quiver", "Dcyc:100000000000")
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-quiver" and "cap" in payload["message"]
+
     def test_usage_error_exit2(self):
         with pytest.raises(SystemExit) as err:
             main(["quiver"])
@@ -325,8 +331,8 @@ _TAILS = {
     "render": ["--charge", FIG1_CHARGE], "verify": ["--trials", "1"],
 }
 _NOT_SIGNS = st.text("+-x 0", min_size=1, max_size=6).filter(lambda w: set(w) - set("+-"))
-# no word starts with "-", which argparse would take for an option; Dcyc
-# sizes stay small, since Dcyc:<n> allocates n signs
+# no word starts with "-", which argparse would take for an option; a
+# Dcyc size over the cap is refused before its signs are allocated
 _MALFORMED_QUIVER = st.one_of(
     st.sampled_from(["", ":", "A", "At", "Dcyc", "A+-", "At:", "At:+", "At:++--+x", "Dcyc:"]),
     st.builds("{}:{}".format, st.sampled_from(["a", "B", "AT", "dcyc", "A t", "Q"]),
@@ -334,7 +340,8 @@ _MALFORMED_QUIVER = st.one_of(
     st.builds("A:{}".format, _NOT_SIGNS),
     st.builds("At:{}".format, _NOT_SIGNS | st.sampled_from(["+", "-", "++", "---"])),
     st.builds("Dcyc:{}".format, st.integers(-99, 3).map(str) | st.sampled_from(
-        ["x", "4.0", "1/2", "0x5", "5 5", "", "1e3"])),
+        ["x", "4.0", "1/2", "0x5", "5 5", "", "1e3"])
+        | st.integers(gs.quivers.MAX_CYCLE_SIZE + 1, 10**30).map(str)),
 )
 
 
@@ -445,6 +452,15 @@ class TestVerify:
         payload = json.loads(err)
         assert payload["error"] == "value-error" and flag in payload["message"]
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_max_denominator_refused(self, capsys, value):
+        code, out, err = run(capsys, "verify", "--quiver", "A:-+", "--trials", "2",
+                             "--max-denominator", value)
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["error"] == "value-error"
+        assert payload["message"] == f"--max-denominator must be positive, got {value}"
+
     def test_jobs_capped_at_trials(self, capsys, monkeypatch):
         """A pool forks all its workers up front: --jobs beyond the trial
         count must not ask it for more workers than there are trials."""
@@ -463,7 +479,8 @@ class TestVerify:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr("greenseq.cli.ProcessPoolExecutor", InlinePool)
+        # cmd_verify imports the pool class from its module when it needs one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         base = ["verify", "--quiver", "At:-++--", "--trials", "3", "--seed", "5", "--json"]
         _, serial, _ = run(capsys, *base)
         assert sizes == []

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import greenseq as gs
 from conftest import affine_quivers, affine_words
 from greenseq import linearity
+from greenseq.stability import modules_sorted
 
 
 class TestVerdicts:
@@ -185,6 +187,61 @@ class TestCertifier:
         assert message.startswith("probe: stable set mismatch")
         assert f"missing [{added!r}]" in message
         assert f"extra [{dropped!r}]" in message
+        assert (err.value.missing, err.value.extra) == ((added,), (dropped,))
+        assert err.value.payload() == {
+            "error": "verification-failed",
+            "missing": [{"i": added.i, "j": added.j}],
+            "extra": [{"i": dropped.i, "j": dropped.j}],
+            "message": message,
+        }
+
+    def test_spliced_mismatch_carries_modules(self):
+        # a spliced witness checked against another S(k, l) of its quiver
+        q = gs.affine_a("++-+-")
+        p = gs.witness_spliced(q, 1, 3)
+        target = gs.build_Skl(q, 1, 5).modules
+        got = gs.spliced_stable_set(p)
+        with pytest.raises(gs.WitnessSearchFailed) as err:
+            linearity._certify(p, target, gs.WitnessSearchFailed, "probe")
+        assert err.value.missing == tuple(modules_sorted(target - got))
+        assert err.value.extra == tuple(modules_sorted(got - target))
+        assert err.value.missing and err.value.extra
+        payload = err.value.payload()
+        assert payload["missing"] == [{"i": m.i, "j": m.j} for m in err.value.missing]
+        assert payload["extra"] == [{"i": m.i, "j": m.j} for m in err.value.extra]
+
+    def test_linear_search_carries_the_last_mismatch(self, monkeypatch):
+        # every eps certifies against a target with one module too many
+        q = gs.affine_a("+++---")
+        real = gs.build_Skl(q, 1, 4)
+        intruder = next(m for m in gs.candidate_modules(q) if m not in real.modules)
+        monkeypatch.setattr(linearity, "build_Skl", lambda q, k, l: dataclasses.replace(
+            real, modules=real.modules | {intruder}))
+        with pytest.raises(gs.WitnessSearchFailed, match="failed at every eps") as err:
+            gs.witness_linear(q, 1, 4)
+        assert (err.value.missing, err.value.extra) == ((intruder,), ())
+
+    def test_other_failures_carry_no_modules(self):
+        err = gs.VerificationFailed("no set involved")
+        assert (err.missing, err.extra) == ((), ())
+        assert err.payload() == {"error": "verification-failed", "missing": [], "extra": [],
+                                 "message": "no set involved"}
+
+    def test_kernels_rerun_on_every_member(self, monkeypatch):
+        calls = {"_chord": 0, "_wire": 0}
+        for name in calls:
+            kernel = getattr(linearity, name)
+
+            def counted(Z, i, j, slope, kernel=kernel, name=name):
+                calls[name] += 1
+                assert slope == (Z._ctx.ya[j] - Z._ctx.ya[i], Z._ctx.xb[j] - Z._ctx.xb[i])
+                return kernel(Z, i, j, slope)
+
+            monkeypatch.setattr(linearity, name, counted)
+        q = gs.affine_a("+++---")
+        gs.witness_spliced(q, 2, 5)
+        size = gs.max_mgs_length(q)
+        assert calls == {"_chord": size, "_wire": size}
 
     def test_kernel_disagreement_raises(self, monkeypatch):
         monkeypatch.setattr(linearity, "_wire", lambda Z, i, j, slope: -1)

@@ -38,6 +38,15 @@ class TestParse:
         with pytest.raises(gs.InvalidQuiver):
             gs.parse_quiver("Dcyc:3")
 
+    def test_huge_cycle_refused_before_allocating(self):
+        # just over the cap first: were the cap missing, that case would
+        # fail on 8 MB of signs before the huge one tried to allocate
+        for spec in (f"Dcyc:{gs.quivers.MAX_CYCLE_SIZE + 1}", "Dcyc:100000000000"):
+            with pytest.raises(gs.InvalidQuiver, match=f"cap of {gs.quivers.MAX_CYCLE_SIZE}"):
+                gs.parse_quiver(spec)
+        with pytest.raises(gs.InvalidQuiver, match="cap"):
+            gs.Quiver.from_json({"kind": "Dcyc", "n": 10**11})
+
     def test_malformed(self):
         for bad in ("A-+", "Zt:++-", "At:+x-", "Dcyc:x"):
             with pytest.raises(gs.InvalidQuiver):

@@ -385,6 +385,13 @@ def test_classify_matches_oracle(data):
             gs.classify(Z)
         return
     got = gs.classify(Z)
+    # classify is the object view of the integer records the charge keeps
+    la, lb = Z._ctx.la, Z._ctx.lb
+    assert got == tuple(
+        (gs.StringModule(q, i, j), F(dy * lb, dx * la), stable)
+        for i, j, dy, dx, stable in Z._classes
+    )
+    assert all(type(v) is int for record in Z._classes for v in record[:4])
     mods = gs.candidate_modules(q)
     assert [(m.i, m.j) for m, _, _ in got] == sorted((m.i, m.j) for m, _, _ in got)
     assert {m for m, _, stable in got if stable} == {m for m in mods if gs.is_stable_oracle(Z, m)}
@@ -447,3 +454,129 @@ def test_oracle_matches_quadratic_reference(data):
     for i, j in candidate_pairs(q):
         slope = _slope_pair(Z, i, j)
         assert _oracle(Z, i, j, slope) == _oracle_reference(Z, i, j, slope), (i, j)
+
+
+def _green_reference(target):
+    """The green sequence as it was built before the integer records:
+    each half's (module, Fraction) pairs from classify, sorted by
+    floor(s * 2**64), then the slope itself, then (i, j), refusing strict
+    semistables and then the first adjacent pair of equal slopes."""
+    if isinstance(target, gs.SplicedPath):
+        pieces = [
+            [c for c in gs.classify(target.z) if c[1] < 0],
+            [c for c in gs.classify(target.z_prime) if c[1] > 0],
+        ]
+    else:
+        pieces = [gs.classify(target)]
+    entries = []
+    for classes in pieces:
+        strict = [m for m, _, stable in classes if not stable]
+        if strict:
+            raise gs.NonGeneric("strict-semistable", strict)
+        half = sorted(
+            ((m, s) for m, s, _ in classes),
+            key=lambda e: ((e[1].numerator << 64) // e[1].denominator, e[1], e[0].i, e[0].j),
+        )
+        for (m1, s1), (m2, s2) in zip(half, half[1:]):
+            if s1 == s2:
+                raise gs.NonGeneric("tie", [m1, m2])
+        entries += half
+    return gs.GreenSequence(tuple(entries))
+
+
+def _outcome(fn, target):
+    try:
+        return fn(target).entries
+    except gs.NonGeneric as err:
+        return err.reason, err.culprits
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_green_matches_fraction_reference(data):
+    # denominators <= 4 make ties and strictly semistable modules common
+    spec = data.draw(st.sampled_from(
+        ["A:", "A:-", "A:-+", "A:+-+-", "At:+-", "At:++-", "At:-++--", "At:+-+--+",
+         "Dcyc:4", "Dcyc:6"]
+    ))
+    q = gs.parse_quiver(spec)
+    rat = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    pos = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
+    a = data.draw(st.tuples(*[rat] * q.n))
+    Z = gs.CentralCharge(q, a, data.draw(st.tuples(*[pos] * q.n)))
+    try:
+        if data.draw(st.booleans()):
+            Zp = gs.CentralCharge(q, a, data.draw(st.tuples(*[pos] * q.n)))
+            target = gs.SplicedPath(Z, Zp)
+            fn = gs.spliced_mgs
+        else:
+            target, fn = Z, gs.mgs
+        expected = _outcome(_green_reference, target)
+    except (gs.InfiniteStableSet, gs.SpliceInvalid):
+        return
+    assert _outcome(fn, target) == expected
+
+
+def test_green_builds_objects_only_for_its_answer(monkeypatch):
+    tied = gs.make_charge(A3, [-2, 4, -2], [1, 1, 1])
+    for Z in (tied, FIG1):
+        Z._classes  # the sweep, before counting
+    built = []
+    module = stability.StringModule
+
+    def counting(q, i, j):
+        built.append((i, j))
+        return module(q, i, j)
+
+    monkeypatch.setattr(stability, "StringModule", counting)
+    with pytest.raises(gs.NonGeneric) as err:
+        gs.mgs(tied)
+    assert err.value.reason == "tie"
+    assert built == [(m.i, m.j) for m in err.value.culprits]
+    built.clear()
+    seq = gs.mgs(FIG1)
+    assert built == [(m.i, m.j) for m in seq.modules()]
+
+
+def test_sweep_builds_no_objects(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"built an object from {args!r}")
+
+    monkeypatch.setattr(stability, "StringModule", refuse)
+    monkeypatch.setattr(stability, "Fraction", refuse)
+    for spec in ("A:-+-", "At:-++--", "Dcyc:6"):
+        q = gs.parse_quiver(spec)
+        for seed in range(5):
+            Z = gs.random_charge(q, gs.XorShift64Star(seed), max_den=4)
+            if gs.is_finite(Z):
+                assert all(len(record) == 5 for record in stability._sweep(Z))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_criteria_answer_for_every_valid_module_length(data):
+    """All six criteria answer, and agree, on any valid module: any
+    length on A_n and the cycle, and affine modules up to 8n long,
+    exceptional or not, far past the 3n span the integer context starts
+    with."""
+    spec = data.draw(st.sampled_from(
+        ["A:", "A:-+", "A:+-+-", "At:+-", "At:++-", "At:-++--", "Dcyc:4", "Dcyc:6"]
+    ))
+    q = gs.parse_quiver(spec)
+    n = q.n
+    rat = st.fractions(min_value=-5, max_value=5, max_denominator=8)
+    pos = st.fractions(min_value=F(1, 8), max_value=5, max_denominator=8)
+    Z = gs.CentralCharge(
+        q, data.draw(st.tuples(*[rat] * n)), data.draw(st.tuples(*[pos] * n))
+    )
+    if q.kind is gs.QuiverKind.FINITE_A:
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(i + 1, n))
+    else:
+        i = data.draw(st.integers(-3 * n, 3 * n))
+        longest = n - 1 if q.kind is gs.QuiverKind.CYCLE else 8 * n
+        j = i + data.draw(st.integers(1, longest))
+    m = gs.StringModule(q, i, j)
+    [stable] = {fn(Z, m) for fn in CRITERIA[0::2]}
+    [semistable] = {fn(Z, m) for fn in CRITERIA[1::2]}
+    assert semistable or not stable
