@@ -63,10 +63,14 @@ def collapse(q: Quiver, arrows) -> ProjectionMap:
     """Collapse the arrow positions in ``arrows`` (mod-n values in [1, n])."""
     if q.kind is not QuiverKind.AFFINE_A:
         raise InvalidQuiver("collapsing is defined for affine quivers")
-    xs = sorted({((x - 1) % q.n) + 1 for x in arrows})
-    if len(xs) > q.n - 2:
+    hits = set()
+    for x in arrows:
+        if type(x) is not int:  # the StringModule rule
+            raise ValueError(f"arrows must be integers, got {x!r}")
+        hits.add(((x - 1) % q.n) + 1)
+    if len(hits) > q.n - 2:
         raise InvalidQuiver(f"can collapse at most n-2 = {q.n - 2} arrows")
-    word = [q.sign(t) for t in range(1, q.n + 1) if t not in set(xs)]
+    word = [q.sign(t) for t in range(1, q.n + 1) if t not in hits]
     if MINUS not in word:
         if len(word) < 4:
             raise InvalidQuiver("all-plus target needs n >= 4 (oriented cycle)")
@@ -75,7 +79,7 @@ def collapse(q: Quiver, arrows) -> ProjectionMap:
         raise InvalidQuiver("collapsing may not leave an all-minus cycle")
     else:
         target = affine_a("".join("+" if s == PLUS else "-" for s in word))
-    return ProjectionMap(q, tuple(xs), target)
+    return ProjectionMap(q, tuple(sorted(hits)), target)
 
 
 def project_module(p: ProjectionMap, m: StringModule) -> StringModule | None:

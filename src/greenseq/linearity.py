@@ -7,31 +7,28 @@ the signs strictly between l and k+n put every + before every - (Cond2).
 Otherwise the four indices breaking both conditions form the
 nonlinearity witness.
 
-The constructors below share one path: template coordinates for the
-dual vertices, one polygon-to-charge step (:func:`_through`) and one
-certifier (:func:`_certify`).  None returns an unverified charge: the
-certifier compares the (i, j) pairs of the stable set (the integer
-records of the charge's sweep, see :mod:`greenseq.stability`) with the
-target, re-checks every member with the chord and wire kernels, and
-raises unless the target set is hit exactly.  A failed comparison names
-the missing and extra modules in its message and carries them as data.
+The constructors share one path: integer vertex coordinates over one
+x-scale and one y-scale, one polygon-to-charge step (:func:`_through`)
+and one certifier (:func:`_certify`), which compares the stable (i, j)
+pairs with the target's, then checks every member in one O(n^2) sweep
+per charge that does not read the charge's integer context.  None
+returns an unverified charge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .charges import CentralCharge, make_charge
+from .charges import CentralCharge
 from .errors import InfiniteStableSet, InvalidQuiver, VerificationFailed, WitnessSearchFailed
-from .maxsets import build_Sk, build_Skl, check_pair, valid_pairs
+from .maxsets import _sk_pairs, _skl_pairs, check_pair, valid_pairs
 from .quivers import MINUS, PLUS, Quiver, QuiverKind, StringModule, affine_a
-from .stability import SplicedPath, _chord, _pieces, _wire, candidate_modules
-
-F = Fraction
+from .stability import SplicedPath, _pieces, candidate_pairs
 
 #: retry schedule for the height-gap parameter of the linear template
-EPS_SCHEDULE = (F(1, 5), F(1, 10), F(1, 20), F(1, 40))
+EPS_SCHEDULE = (Fraction(1, 5), Fraction(1, 10), Fraction(1, 20), Fraction(1, 40))
 
 
 @dataclass(frozen=True)
@@ -88,46 +85,70 @@ def is_linear_set(q: Quiver, k: int, l: int) -> LinearityVerdict:
 # verified constructions
 
 
-def _through(q: Quiver, k: int, xs, ys) -> CentralCharge:
-    """The charge whose dual vertices are p_t = (xs[t], ys[t]) for
-    k <= t <= k+n (xs and ys are indexed by t; on a cyclic quiver the
-    window wraps once around the period)."""
+def _through(q: Quiver, k: int, xs, ys, sx: int = 1, sy: int = 1) -> CentralCharge:
+    """The charge whose dual vertices are p_t = (xs[t-k]/sx, ys[t-k]/sy)
+    for k <= t <= k+n, from integer coordinates over one x-scale and one
+    y-scale (on a cyclic quiver the window wraps once around the period)."""
     n = q.n
-    a = [0] * n
-    b = [0] * n
-    for t in range(k + 1, k + n + 1):
-        a[(t - 1) % n] = ys[t] - ys[t - 1]
-        b[(t - 1) % n] = xs[t] - xs[t - 1]
-    return make_charge(q, a, b)
+    a, b = [0] * n, [0] * n
+    for s in range(1, n + 1):
+        a[(k + s - 1) % n] = Fraction(ys[s] - ys[s - 1], sy)
+        b[(k + s - 1) % n] = Fraction(xs[s] - xs[s - 1], sx)
+    return CentralCharge(q, tuple(a), tuple(b))
 
 
-def _certify(path, target, err: type[Exception], what: str) -> None:
-    """Raise ``err`` unless the stable set of ``path``, a charge or a
-    spliced path, is exactly ``target`` and the chord and wire criteria
-    both call each member stable under the charge that rules it.
-
-    The comparison runs on (i, j) pairs of the sweep's records; modules
-    are built only to name the missing and extra ones, which the error
-    also carries as its ``missing`` and ``extra`` tuples.  Records are
-    canonical, inside their charge's integer context and carry their
-    slope pair, so the kernels run on them directly.
-    """
+def _certify(path, want: set[tuple[int, int]], err: type[Exception], what: str) -> None:
+    """Raise ``err`` unless the stable pairs of ``path``, a charge or a
+    spliced path, are exactly the canonical (i, j) pairs ``want`` and
+    :func:`_unstable_members` passes every member of each charge.  Modules
+    are built only for the error's ``missing`` and ``extra`` tuples."""
     parts = _pieces(path)
     got = {(i, j) for _, records in parts for i, j, _, _, stable in records if stable}
-    want = {(m.i, m.j) for m in target}
     if got != want:
         q = parts[0][0].quiver
         missing = [StringModule(q, i, j) for i, j in sorted(want - got)]
         extra = [StringModule(q, i, j) for i, j in sorted(got - want)]
-        raise err(
-            f"{what}: stable set mismatch (missing {missing}, extra {extra})",
-            missing=missing,
-            extra=extra,
-        )
+        raise err(f"{what}: stable set mismatch (missing {missing}, extra {extra})",
+                  missing=missing, extra=extra)
     for Z, records in parts:
-        for i, j, dy, dx, stable in records:
-            if stable and not (_chord(Z, i, j, (dy, dx)) > 0 and _wire(Z, i, j, (dy, dx)) > 0):
-                raise err(f"{what}: criteria disagree on {StringModule(Z.quiver, i, j)!r}")
+        bad = _unstable_members(Z, [(i, j) for i, j, _, _, stable in records if stable])
+        if bad:
+            raise err(f"{what}: criteria disagree on {StringModule(Z.quiver, *bad[0])!r}")
+
+
+def _unstable_members(Z: CentralCharge, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The canonical pairs of ``pairs``, sorted by (i, j), that the chord
+    criterion calls not stable under Z, in one O(n^2) sweep on cumulative
+    sums of Z.a, Z.b over one common denominator, not on ``Z._ctx``.
+    Per left end i it walks upward keeping the least slope (dy, dx) from
+    p_i to a positive vertex and the greatest to a negative one ((1, 0)
+    and (-1, 0) are +inf and -inf); a member must lie strictly between."""
+    n, signs = Z.quiver.n, Z.quiver.signs
+    period = len(signs)  # n - 1 on A_n, whose walks stay inside (0, n)
+    den = lcm(*[v.denominator for v in Z.a], *[v.denominator for v in Z.b])
+    arow = [v.numerator * (den // v.denominator) for v in Z.a]
+    brow = [v.numerator * (den // v.denominator) for v in Z.b]
+    ys, xs, bad, left = [0], [0], [], None
+    for t in range(max([j for _, j in pairs], default=0)):
+        ys.append(ys[-1] + arow[t % n])
+        xs.append(xs[-1] + brow[t % n])
+    for i, j in pairs:
+        if i != left:
+            left, t = i, i + 1
+            yi, xi = ys[i], xs[i]
+            hi_y, hi_x, lo_y, lo_x = 1, 0, -1, 0
+        while t < j:
+            dy, dx = ys[t] - yi, xs[t] - xi
+            if signs[(t - 1) % period] == MINUS:
+                if dy * lo_x > lo_y * dx:
+                    lo_y, lo_x = dy, dx
+            elif dy * hi_x < hi_y * dx:
+                hi_y, hi_x = dy, dx
+            t += 1
+        dy, dx = ys[j] - yi, xs[j] - xi
+        if dy * lo_x <= lo_y * dx or hi_y * dx <= dy * hi_x:
+            bad.append((i, j))
+    return bad
 
 
 def reineke_charge(q: Quiver) -> CentralCharge:
@@ -140,25 +161,18 @@ def reineke_charge(q: Quiver) -> CentralCharge:
     """
     if q.kind is not QuiverKind.FINITE_A:
         raise InvalidQuiver("the all-stable construction applies to A_n")
-    n = q.n
-    target = frozenset(candidate_modules(q))
+    n, want = q.n, set(candidate_pairs(q))
     last_err: VerificationFailed | None = None
     for scale in (1, 2, 3):
-        heights = [0] * (n + 1)
-        for s in range(1, n):
-            h = s * (n - s)
-            heights[s] = h * scale if q.sign(s) == PLUS else -h
-        Z = _through(q, 0, range(n + 1), heights)
+        heights = [s * (n - s) * (scale if q.sign(s) == PLUS else -1) for s in range(1, n)]
+        Z = _through(q, 0, range(n + 1), [0] + heights + [0])
         try:
-            _certify(Z, target, VerificationFailed, "all-stable charge")
+            _certify(Z, want, VerificationFailed, "all-stable charge")
             return Z
         except VerificationFailed as err:
             last_err = err
-    raise VerificationFailed(
-        f"no all-stable charge found for {q.label()}: {last_err}",
-        missing=last_err.missing,
-        extra=last_err.extra,
-    )
+    raise VerificationFailed(f"no all-stable charge found for {q.label()}: {last_err}",
+                             missing=last_err.missing, extra=last_err.extra)
 
 
 def dn_charge(q: Quiver, k: int) -> CentralCharge:
@@ -170,11 +184,9 @@ def dn_charge(q: Quiver, k: int) -> CentralCharge:
     only ever realizes S(n): the k-dependence there is an a + 8k*b
     shift, which cannot change the stable set.)
     """
-    target = build_Sk(q, k)
-    n = q.n
-    ys = [-((2 * k + n - 2 * j) ** 2) for j in range(k + n + 1)]
-    Z = _through(q, k, range(k + n + 1), ys)
-    _certify(Z, target, VerificationFailed, f"S({k}) charge")
+    want, n = _sk_pairs(q, k), q.n
+    Z = _through(q, k, range(n + 1), [-((2 * k + n - 2 * j) ** 2) for j in range(k, k + n + 1)])
+    _certify(Z, want, VerificationFailed, f"S({k}) charge")
     return Z
 
 
@@ -191,55 +203,47 @@ def dn_charge(q: Quiver, k: int) -> CentralCharge:
 # distance to the nearest mixed vertex: a band-crossing chord then
 # passes its zero height before reaching l (resp. after passing k), so
 # p_l stays below and p_k above every chord that has to clear them.
+# Coordinates are integers over sx (pack steps 1/(n2+1), 1/n3) and sy
+# (arcs eta*(x + 1/3)^2, eta*(x + 7/3)^2, eta = eps/(10^4 (period + 3)^2)).
 
 
 def _cond2_charge(q: Quiver, k: int, l: int, eps: Fraction) -> CentralCharge:
     n = q.n
-    g1 = list(range(k + 1, l))
-    g2 = [t for t in range(l + 1, k + n) if q.sign(t) == PLUS]
-    g3 = [t for t in range(l + 1, k + n) if q.sign(t) == MINUS]
-    if g2 and g3 and max(g2) > min(g3):
+    rest = [q.sign(t) for t in range(l + 1, k + n)]
+    m, n2, n3 = l - k - 1, rest.count(PLUS), rest.count(MINUS)
+    if PLUS in rest[n2:]:
         raise ValueError("template needs the positives of (l, k+n) first")
-    m, n2, n3 = len(g1), len(g2), len(g3)
-    period = F(4 * m + n2 + 10)
-
-    xs: dict[int, Fraction] = {k: F(0), l: F(2 * m + 3), k + n: period}
-    for idx, t in enumerate(g1, start=1):
-        xs[t] = F(2 * idx + 1)
-    for idx, t in enumerate(g2, start=1):
-        xs[t] = xs[l] + F(idx, n2 + 1)
-    for idx, t in enumerate(g3, start=1):
-        xs[t] = period - 2 + F(idx, n3)
-
-    eta = eps / (10_000 * (period + 3) ** 2)
-    ys: dict[int, Fraction] = {k: F(0), l: eps, k + n: F(0)}
+    sx = (n2 + 1) * (n3 or 1)
+    period = (4 * m + n2 + 10) * sx
+    sy = eps.denominator * 90_000 * (4 * m + n2 + 13) ** 2 * sx * sx
+    xs = [0] + [(2 * s + 1) * sx for s in range(1, m + 2)]  # indexed t - k; l: 2m + 3
+    xs += [xs[-1] + idx * (n3 or 1) for idx in range(1, n2 + 1)]
+    xs += [period - 2 * sx + idx * (n2 + 1) for idx in range(1, n3 + 1)] + [period]
+    ys = [0] * (n + 1)
     for t in range(k + 1, k + n):
+        x = xs[t - k]
         if t == l:
-            continue
-        if q.sign(t) == PLUS:
-            ys[t] = 2 - eta * (xs[t] + F(1, 3)) ** 2
+            ys[t - k] = sy // eps.denominator * eps.numerator
+        elif q.sign(t) == PLUS:
+            ys[t - k] = 2 * sy - eps.numerator * (3 * x + sx) ** 2
         else:
-            rep = xs[t] if t < l else xs[t] - period  # arc parameter in [-2, 2m+1]
-            ys[t] = -2 + eta * (rep + F(7, 3)) ** 2
-    return _through(q, k, xs, ys)
+            rep = x if t < l else x - period  # arc parameter in [-2, 2m+1]
+            ys[t - k] = -2 * sy + eps.numerator * (3 * rep + 7 * sx) ** 2
+    return _through(q, k, xs, ys, sx, sy)
 
 
-def _mirror_quiver(q: Quiver) -> Quiver:
-    """Left-right flip: sign*(t) = sign(-t)."""
-    return affine_a("".join("+" if q.sign(-t) == PLUS else "-" for t in range(1, q.n + 1)))
-
-
-def _mirror_pair(q: Quiver, k: int, l: int) -> tuple[int, int]:
+def _mirror(q: Quiver, k: int, l: int) -> tuple[Quiver, int, int]:
+    """Left-right flip sign*(t) = sign(-t), and the image of (k, l)."""
     n = q.n
     km = (-k) % n or n
-    return km, km + (k - l) % n
+    word = "".join("+" if q.sign(-t) == PLUS else "-" for t in range(1, n + 1))
+    return affine_a(word), km, km + (k - l) % n
 
 
 def _unmirror_charge(q: Quiver, Zm: CentralCharge) -> CentralCharge:
-    """Pull a charge back through the flip: a_i = -a*_{1-i}, b_i = b*_{1-i}."""
-    n = q.n
-    rev = [((1 - i) % n or n) - 1 for i in range(1, n + 1)]
-    return CentralCharge(q, tuple([-Zm.a[r] for r in rev]), tuple([Zm.b[r] for r in rev]))
+    """Pull a charge back through the flip: a_i = -a*_{1-i}, b_i = b*_{1-i},
+    which reverses both vectors."""
+    return CentralCharge(q, tuple([-v for v in reversed(Zm.a)]), Zm.b[::-1])
 
 
 def witness_linear(q: Quiver, k: int, l: int) -> CentralCharge:
@@ -249,14 +253,12 @@ def witness_linear(q: Quiver, k: int, l: int) -> CentralCharge:
     Cond1-only instances are solved on the mirrored quiver (the flip
     swaps the two conditions) and pulled back.
     """
-    verdict = is_linear_set(q, k, l)
-    if not verdict.linear:
+    if not is_linear_set(q, k, l).linear:
         raise ValueError(f"S({k},{l}) on {q.label()} is nonlinear; use a spliced witness")
-    target = build_Skl(q, k, l).modules
+    want = _skl_pairs(q, k, l)[2]
     use_mirror = _inversion(q, l, k + q.n, MINUS) is not None
     if use_mirror:
-        qm = _mirror_quiver(q)
-        km, lm = _mirror_pair(q, k, l)
+        qm, km, lm = _mirror(q, k, l)
     last_err: Exception | None = None
     for eps in EPS_SCHEDULE:
         if use_mirror:
@@ -264,15 +266,13 @@ def witness_linear(q: Quiver, k: int, l: int) -> CentralCharge:
         else:
             Z = _cond2_charge(q, k, l, eps)
         try:
-            _certify(Z, target, VerificationFailed, f"S({k},{l}) witness")
+            _certify(Z, want, VerificationFailed, f"S({k},{l}) witness")
             return Z
         except (VerificationFailed, InfiniteStableSet) as err:
             last_err = err
     raise WitnessSearchFailed(
         f"linear witness for S({k},{l}) on {q.label()} failed at every eps: {last_err}",
-        missing=getattr(last_err, "missing", ()),
-        extra=getattr(last_err, "extra", ()),
-    )
+        missing=getattr(last_err, "missing", ()), extra=getattr(last_err, "extra", ()))
 
 
 # -- spliced witnesses -------------------------------------------------------
@@ -281,45 +281,45 @@ def witness_linear(q: Quiver, k: int, l: int) -> CentralCharge:
 # charges share the heights (hence the a-vector); the first one pulls
 # p_l close to p_k so every negative-slope member chord fits under the
 # vertex arcs, the second pushes them apart for the positive-slope half.
-
-_ARC_C = F(1, 1000)
-
-
-def _pos_arc(x: Fraction) -> Fraction:
-    return 21 - F(2, 21) * (x + 10) + _ARC_C * (x + 10) * (11 - x)
+# The vertices of (k, l) sit at x = -10 + idx/(|left| + 1), those of
+# (l, k+n) at 10 + idx/(|right| + 1); a positive at height
+# 21 - (2/21)(x + 10) + (x + 10)(11 - x)/1000, a negative at
+# -19 - (2/21)(v - 10) - (v - 10)(31 - v)/1000, v = x + 40 left of l.
 
 
-def _neg_arc(x: Fraction) -> Fraction:
-    return -19 - F(2, 21) * (x - 10) - _ARC_C * (x - 10) * (31 - x)
-
-
-def _spliced_charge(q: Quiver, k: int, l: int, shift: Fraction) -> CentralCharge:
+def _spliced_charge(q: Quiver, k: int, l: int, shift: int) -> CentralCharge:
     """One half of the spliced pair; shift is 0 for Z and 10 for Z'.
 
     The shift applies to the whole periodic class of p_k (left) and of
-    p_l (right), so both charges keep the period (40, 0).
+    p_l (right), so both charges keep the period (40, 0).  Coordinates
+    are integers over dx = (|left|+1)(|right|+1) and dy = 21000*dx^2.
     """
     n = q.n
-    xs: dict[int, Fraction] = {k: F(-14) - shift, l: F(-5) + shift, k + n: F(26) - shift}
-    ys: dict[int, Fraction] = {k: F(-1), l: F(1), k + n: F(-1)}
-    left = range(k + 1, l)
-    right = range(l + 1, k + n)
-    for idx, t in enumerate(left, start=1):
-        x = -10 + F(idx, len(left) + 1)
-        xs[t] = x
-        ys[t] = _pos_arc(x) if q.sign(t) == PLUS else _neg_arc(x + 40)
-    for idx, t in enumerate(right, start=1):
-        x = 10 + F(idx, len(right) + 1)
-        xs[t] = x
-        ys[t] = _pos_arc(x) if q.sign(t) == PLUS else _neg_arc(x)
-    return _through(q, k, xs, ys)
+    nl, nr = l - k - 1, k + n - l - 1  # |left|, |right|
+    dx = (nl + 1) * (nr + 1)
+    dy = 21_000 * dx * dx
+    xs = [0] * (n + 1)  # indexed t - k
+    ys = [-dy] * (n + 1)
+    xs[0], xs[l - k], xs[n] = (-14 - shift) * dx, (-5 + shift) * dx, (26 - shift) * dx
+    ys[l - k] = dy
+    for s in range(1, n):
+        if s == l - k:
+            continue
+        x = xs[s] = -10 * dx + s * (nr + 1) if s < l - k else 10 * dx + (s - l + k) * (nl + 1)
+        if q.sign(k + s) == PLUS:
+            u = x + 10 * dx
+            ys[s] = 21 * dy - 2000 * dx * u + 21 * u * (11 * dx - x)
+        else:
+            v = x + 40 * dx if s < l - k else x
+            ys[s] = -19 * dy - 2000 * dx * (v - 10 * dx) - 21 * (v - 10 * dx) * (31 * dx - v)
+    return _through(q, k, xs, ys, dx, dy)
 
 
 def witness_spliced(q: Quiver, k: int, l: int) -> SplicedPath:
     """A verified spliced path whose stable set is exactly S(k, l)."""
-    target = build_Skl(q, k, l).modules
-    path = SplicedPath(_spliced_charge(q, k, l, F(0)), _spliced_charge(q, k, l, F(10)))
-    _certify(path, target, WitnessSearchFailed, f"spliced witness for S({k},{l}) on {q.label()}")
+    want = _skl_pairs(q, k, l)[2]
+    path = SplicedPath(_spliced_charge(q, k, l, 0), _spliced_charge(q, k, l, 10))
+    _certify(path, want, WitnessSearchFailed, f"spliced witness for S({k},{l}) on {q.label()}")
     return path
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InvalidQuiver, VerificationFailed
-from .quivers import MINUS, PLUS, Quiver, QuiverKind, StringModule, string_module
+from .quivers import MINUS, PLUS, Quiver, QuiverKind, StringModule
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,18 @@ class MaxSetDescriptor:
         }
 
 
+def _check_int(name: str, v) -> None:
+    # the StringModule rule: bool, float, Fraction and str are refused
+    if type(v) is not int:
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 def check_pair(q: Quiver, k: int, l: int) -> None:
     """Raise unless (k, l) indexes a maximal set S(k, l) of q."""
     if q.kind is not QuiverKind.AFFINE_A:
         raise InvalidQuiver("maximal sets S(k,l) are defined for affine quivers")
+    _check_int("k", k)
+    _check_int("l", l)
     if not 1 <= k <= q.n:
         raise ValueError(f"k = {k} must lie in [1, {q.n}]")
     if not k < l < k + q.n:
@@ -50,6 +58,36 @@ def check_pair(q: Quiver, k: int, l: int) -> None:
         raise ValueError(f"sign at k = {k} must be +")
     if q.sign(l) != MINUS:
         raise ValueError(f"sign at l = {l} must be -")
+
+
+def _skl_pairs(
+    q: Quiver, k: int, l: int
+) -> tuple[tuple[int, ...], tuple[int, ...], set[tuple[int, int]]]:
+    """(A, B, the canonical (i, j) pairs of S(k, l)), 0 <= i < n.
+
+    Every member is exceptional, so a module built from a pair needs no
+    exceptionality check: two ends inside A (or inside B) lie less than
+    n apart, and the two ends of a B x A pair that spans n or more have
+    opposite signs.
+    """
+    check_pair(q, k, l)
+    n = q.n
+    signs = q.signs
+    A = tuple(sorted([l] + [j for j in range(k + 1, k + n) if signs[(j - 1) % n] == PLUS]))
+    B = tuple(sorted([k] + [i for i in range(l - n + 1, l) if signs[(i - 1) % n] == MINUS]))
+    ends = [(i, j) for idx, i in enumerate(A) for j in A[idx + 1 :]]
+    ends += [(i, j) for idx, i in enumerate(B) for j in B[idx + 1 :]]
+    for i in B:
+        for j in A:
+            ends.append((i, j) if i < j else (j, i))
+            ends.append((i, j - n) if i < j - n else (j - n, i))
+    pairs = {(i % n, j - i + i % n) for i, j in ends}
+    expected = max_mgs_length(q)
+    if len(A) != q.a or len(B) != q.b or len(pairs) != expected:
+        raise VerificationFailed(
+            f"S({k},{l}) construction produced {len(pairs)} modules, expected {expected}"
+        )
+    return A, B, pairs
 
 
 def build_Skl(q: Quiver, k: int, l: int) -> MaxSetDescriptor:
@@ -62,52 +100,37 @@ def _build_Skl(
 ) -> MaxSetDescriptor:
     """build_Skl, taking members from ``built``, a (i, j) -> module dict
     shared by the sets of one quiver, and adding the ones it builds."""
-    check_pair(q, k, l)
-    n = q.n
-    signs = q.signs
-    A = tuple(sorted([l] + [j for j in range(k + 1, k + n) if signs[(j - 1) % n] == PLUS]))
-    B = tuple(sorted([k] + [i for i in range(l - n + 1, l) if signs[(i - 1) % n] == MINUS]))
-    pairs = [(i, j) for idx, i in enumerate(A) for j in A[idx + 1 :]]
-    pairs += [(i, j) for idx, i in enumerate(B) for j in B[idx + 1 :]]
-    for i in B:
-        for j in A:
-            pairs.append((i, j) if i < j else (j, i))
-            pairs.append((i, j - n) if i < j - n else (j - n, i))
-    # Every member is exceptional, so StringModule suffices without the
-    # exceptionality check of string_module: two ends inside A (or inside
-    # B) lie less than n apart, and the two ends of a B x A pair that
-    # spans n or more have opposite signs.
-    mods: set[StringModule] = set()
-    for i, j in pairs:
-        ij = (i % n, j - i + i % n)  # canonical: 0 <= i < n
+    A, B, pairs = _skl_pairs(q, k, l)
+    mods = []
+    for ij in pairs:
         m = built.get(ij)
         if m is None:
             m = built[ij] = StringModule(q, *ij)
-        mods.add(m)
-    expected = max_mgs_length(q)
-    if len(A) != q.a or len(B) != q.b or len(mods) != expected:
-        raise VerificationFailed(
-            f"S({k},{l}) construction produced {len(mods)} modules, expected {expected}"
-        )
+        mods.append(m)
     return MaxSetDescriptor(q, k, l, A, B, frozenset(mods))
+
+
+def _sk_pairs(q: Quiver, k: int) -> set[tuple[int, int]]:
+    """The canonical (i, j) pairs of S(k): k <= i < j <= k+n, j-i < n."""
+    if q.kind is not QuiverKind.CYCLE:
+        raise InvalidQuiver("S(k) is defined for the oriented cycle")
+    _check_int("k", k)
+    n = q.n
+    if not 1 <= k <= n:
+        raise ValueError(f"k = {k} must lie in [1, {n}]")
+    pairs = {
+        (i % n, j - i + i % n)
+        for i in range(k, k + n)
+        for j in range(i + 1, min(i + n, k + n + 1))
+    }
+    if len(pairs) != max_mgs_length(q):
+        raise VerificationFailed("S(k) has the wrong cardinality")
+    return pairs
 
 
 def build_Sk(q: Quiver, k: int) -> frozenset[StringModule]:
     """Cycle analogue: modules M(i, j) with k <= i < j <= k+n, j-i < n."""
-    if q.kind is not QuiverKind.CYCLE:
-        raise InvalidQuiver("S(k) is defined for the oriented cycle")
-    n = q.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k = {k} must lie in [1, {n}]")
-    mods = frozenset(
-        string_module(q, i, j)
-        for i in range(k, k + n)
-        for j in range(i + 1, k + n + 1)
-        if j - i < n
-    )
-    if len(mods) != max_mgs_length(q):
-        raise VerificationFailed("S(k) has the wrong cardinality")
-    return mods
+    return frozenset([StringModule(q, i, j) for i, j in _sk_pairs(q, k)])
 
 
 def valid_pairs(q: Quiver) -> list[tuple[int, int]]:

@@ -72,18 +72,18 @@ class Quiver:
     def is_cyclic(self) -> bool:
         return self.kind is not QuiverKind.FINITE_A
 
-    @property
+    @cached_property
     def a(self) -> int:
         """Number of + signs (clockwise arrows); cyclic kinds only."""
         if not self.is_cyclic:
             raise InvalidQuiver("a/b counts are defined for cyclic quivers")
-        return sum(1 for s in self.signs if s == PLUS)
+        return self.signs.count(PLUS)
 
-    @property
+    @cached_property
     def b(self) -> int:
         if not self.is_cyclic:
             raise InvalidQuiver("a/b counts are defined for cyclic quivers")
-        return sum(1 for s in self.signs if s == MINUS)
+        return self.signs.count(MINUS)
 
     def sign(self, i: int) -> int:
         """Sign at position i: 0 at the ends of a linear quiver, periodic otherwise."""

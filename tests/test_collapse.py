@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 import greenseq as gs
@@ -28,6 +30,11 @@ class TestCollapse:
     def test_too_many_arrows(self):
         with pytest.raises(gs.InvalidQuiver):
             gs.collapse(gs.affine_a("++--"), [1, 2, 3])
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "1", None, Fraction(1), True])
+    def test_rejects_non_integer_arrows(self, bad):
+        with pytest.raises(ValueError, match="arrows must be integers"):
+            gs.collapse(gs.affine_a("-++--"), [2, bad])
 
     def test_degenerate_targets(self):
         with pytest.raises(gs.InvalidQuiver):

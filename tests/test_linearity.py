@@ -1,12 +1,13 @@
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import greenseq as gs
-from conftest import affine_quivers, affine_words
+from conftest import affine_quivers, affine_words, cycle_quivers, finite_quivers
 from greenseq import linearity
-from greenseq.stability import modules_sorted
+from greenseq.stability import _chord, _slope_pair, candidate_pairs, modules_sorted
 
 
 class TestVerdicts:
@@ -72,6 +73,18 @@ class TestVerdicts:
     def test_non_affine_quiver_raises(self, spec):
         with pytest.raises(gs.InvalidQuiver):
             gs.is_linear_set(gs.parse_quiver(spec), 1, 2)
+
+    @pytest.mark.parametrize("bad", [1.0, "1", None, F(1), True])
+    def test_non_integer_index_raises(self, bad):
+        # k and l of every S(k, l) entry point and k of dn_charge go
+        # through one gate, the StringModule rule type(x) is int
+        q = gs.affine_a("+++---")
+        for fn in (gs.is_linear_set, gs.witness_linear, gs.witness_spliced):
+            for name, k, l in (("k", bad, 4), ("l", 1, bad)):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    fn(q, k, l)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            gs.dn_charge(gs.cycle_quiver(5), bad)
 
 
 class TestReineke:
@@ -180,9 +193,9 @@ class TestCertifier:
         got = gs.stable_set(Z)
         dropped = min(got, key=lambda m: (m.i, m.j))
         added = next(m for m in gs.candidate_modules(q) if m not in got)
-        target = (got - {dropped}) | {added}
+        want = {(m.i, m.j) for m in (got - {dropped}) | {added}}
         with pytest.raises(gs.VerificationFailed) as err:
-            linearity._certify(Z, target, gs.VerificationFailed, "probe")
+            linearity._certify(Z, want, gs.VerificationFailed, "probe")
         message = str(err.value)
         assert message.startswith("probe: stable set mismatch")
         assert f"missing [{added!r}]" in message
@@ -202,7 +215,7 @@ class TestCertifier:
         target = gs.build_Skl(q, 1, 5).modules
         got = gs.spliced_stable_set(p)
         with pytest.raises(gs.WitnessSearchFailed) as err:
-            linearity._certify(p, target, gs.WitnessSearchFailed, "probe")
+            linearity._certify(p, {(m.i, m.j) for m in target}, gs.WitnessSearchFailed, "probe")
         assert err.value.missing == tuple(modules_sorted(target - got))
         assert err.value.extra == tuple(modules_sorted(got - target))
         assert err.value.missing and err.value.extra
@@ -211,12 +224,12 @@ class TestCertifier:
         assert payload["extra"] == [{"i": m.i, "j": m.j} for m in err.value.extra]
 
     def test_linear_search_carries_the_last_mismatch(self, monkeypatch):
-        # every eps certifies against a target with one module too many
+        # every eps certifies against a target with one pair too many
         q = gs.affine_a("+++---")
-        real = gs.build_Skl(q, 1, 4)
-        intruder = next(m for m in gs.candidate_modules(q) if m not in real.modules)
-        monkeypatch.setattr(linearity, "build_Skl", lambda q, k, l: dataclasses.replace(
-            real, modules=real.modules | {intruder}))
+        A, B, real = gs.maxsets._skl_pairs(q, 1, 4)
+        intruder = next(m for m in gs.candidate_modules(q) if (m.i, m.j) not in real)
+        monkeypatch.setattr(linearity, "_skl_pairs", lambda q, k, l: (
+            A, B, real | {(intruder.i, intruder.j)}))
         with pytest.raises(gs.WitnessSearchFailed, match="failed at every eps") as err:
             gs.witness_linear(q, 1, 4)
         assert (err.value.missing, err.value.extra) == ((intruder,), ())
@@ -227,32 +240,50 @@ class TestCertifier:
         assert err.payload() == {"error": "verification-failed", "missing": [], "extra": [],
                                  "message": "no set involved"}
 
-    def test_kernels_rerun_on_every_member(self, monkeypatch):
-        calls = {"_chord": 0, "_wire": 0}
-        for name in calls:
-            kernel = getattr(linearity, name)
+    def test_member_sweep_checks_every_member_once(self, monkeypatch):
+        # one sweep per charge over that charge's members, which never
+        # reads the integer context the classification ran on
+        calls = []
+        sweep = linearity._unstable_members
 
-            def counted(Z, i, j, slope, kernel=kernel, name=name):
-                calls[name] += 1
-                assert slope == (Z._ctx.ya[j] - Z._ctx.ya[i], Z._ctx.xb[j] - Z._ctx.xb[i])
-                return kernel(Z, i, j, slope)
+        def counted(Z, pairs):
+            calls.append(len(pairs))
+            with monkeypatch.context() as mp:  # a property shadows the cached context
+                mp.setattr(gs.CentralCharge, "_ctx", property(lambda Z: pytest.fail("read _ctx")))
+                return sweep(Z, pairs)
 
-            monkeypatch.setattr(linearity, name, counted)
+        monkeypatch.setattr(linearity, "_unstable_members", counted)
         q = gs.affine_a("+++---")
         gs.witness_spliced(q, 2, 5)
-        size = gs.max_mgs_length(q)
-        assert calls == {"_chord": size, "_wire": size}
+        assert len(calls) == 2 and sum(calls) == gs.max_mgs_length(q)
 
     def test_kernel_disagreement_raises(self, monkeypatch):
-        monkeypatch.setattr(linearity, "_wire", lambda Z, i, j, slope: -1)
+        monkeypatch.setattr(linearity, "_unstable_members", lambda Z, pairs: pairs)
         q = gs.affine_a("+++---")
         with pytest.raises(gs.WitnessSearchFailed, match="criteria disagree"):
             gs.witness_spliced(q, 2, 5)
         with pytest.raises(gs.VerificationFailed, match="criteria disagree"):
             gs.reineke_charge(gs.finite_a("-+-+"))
 
+    def test_corrupted_sign_table_is_caught(self):
+        # the classification reads the sign table of Z._ctx, the member
+        # sweep reads q.signs: shifting the table by one breaks the set
+        # comparison, and the member sweep catches it on its own when the
+        # target is the corrupted stable set itself
+        q = gs.affine_a("+++---")
+        want = linearity._skl_pairs(q, 1, 6)[2]
+        linearity._certify(gs.witness_linear(q, 1, 6), want, gs.VerificationFailed, "probe")
+        Z = gs.witness_linear(q, 1, 6)
+        bad = gs.CentralCharge(q, Z.a, Z.b)
+        bad._ctx.sig = bad._ctx.sig[1:] + bad._ctx.sig[:1]
+        with pytest.raises(gs.VerificationFailed, match="stable set mismatch"):
+            linearity._certify(bad, want, gs.VerificationFailed, "probe")
+        got = {(m.i, m.j) for m in gs.stable_set(bad)}
+        with pytest.raises(gs.VerificationFailed, match=r"criteria disagree on M\(4,7\)"):
+            linearity._certify(bad, got, gs.VerificationFailed, "probe")
+
     def test_linear_search_exhausted(self, monkeypatch):
-        monkeypatch.setattr(linearity, "_wire", lambda Z, i, j, slope: -1)
+        monkeypatch.setattr(linearity, "_unstable_members", lambda Z, pairs: pairs)
         with pytest.raises(gs.WitnessSearchFailed, match="failed at every eps"):
             gs.witness_linear(gs.affine_a("+++---"), 1, 4)
 
@@ -269,3 +300,134 @@ class TestCertifier:
         with pytest.raises(gs.WitnessSearchFailed, match="no essential pair"):
             gs.witness_linear(q, 1, 2)
         assert len(calls) == len(linearity.EPS_SCHEDULE)
+
+
+# ---------------------------------------------------------------------------
+# the templates as they were built on Fractions, kept as references
+
+
+def _through_reference(q, k, xs, ys):
+    n = q.n
+    a = [0] * n
+    b = [0] * n
+    for t in range(k + 1, k + n + 1):
+        a[(t - 1) % n] = ys[t] - ys[t - 1]
+        b[(t - 1) % n] = xs[t] - xs[t - 1]
+    return gs.make_charge(q, a, b)
+
+
+def _cond2_reference(q, k, l, eps):
+    n = q.n
+    g1 = list(range(k + 1, l))
+    g2 = [t for t in range(l + 1, k + n) if q.sign(t) == gs.PLUS]
+    g3 = [t for t in range(l + 1, k + n) if q.sign(t) == gs.MINUS]
+    if g2 and g3 and max(g2) > min(g3):
+        raise ValueError("template needs the positives of (l, k+n) first")
+    m, n2, n3 = len(g1), len(g2), len(g3)
+    period = F(4 * m + n2 + 10)
+    xs = {k: F(0), l: F(2 * m + 3), k + n: period}
+    for idx, t in enumerate(g1, start=1):
+        xs[t] = F(2 * idx + 1)
+    for idx, t in enumerate(g2, start=1):
+        xs[t] = xs[l] + F(idx, n2 + 1)
+    for idx, t in enumerate(g3, start=1):
+        xs[t] = period - 2 + F(idx, n3)
+    eta = eps / (10_000 * (period + 3) ** 2)
+    ys = {k: F(0), l: eps, k + n: F(0)}
+    for t in range(k + 1, k + n):
+        if t == l:
+            continue
+        if q.sign(t) == gs.PLUS:
+            ys[t] = 2 - eta * (xs[t] + F(1, 3)) ** 2
+        else:
+            rep = xs[t] if t < l else xs[t] - period
+            ys[t] = -2 + eta * (rep + F(7, 3)) ** 2
+    return _through_reference(q, k, xs, ys)
+
+
+def _pos_arc(x):
+    return 21 - F(2, 21) * (x + 10) + F(1, 1000) * (x + 10) * (11 - x)
+
+
+def _neg_arc(x):
+    return -19 - F(2, 21) * (x - 10) - F(1, 1000) * (x - 10) * (31 - x)
+
+
+def _spliced_reference(q, k, l, shift):
+    n = q.n
+    xs = {k: F(-14) - shift, l: F(-5) + shift, k + n: F(26) - shift}
+    ys = {k: F(-1), l: F(1), k + n: F(-1)}
+    left = range(k + 1, l)
+    right = range(l + 1, k + n)
+    for idx, t in enumerate(left, start=1):
+        x = -10 + F(idx, len(left) + 1)
+        xs[t] = x
+        ys[t] = _pos_arc(x) if q.sign(t) == gs.PLUS else _neg_arc(x + 40)
+    for idx, t in enumerate(right, start=1):
+        x = 10 + F(idx, len(right) + 1)
+        xs[t] = x
+        ys[t] = _pos_arc(x) if q.sign(t) == gs.PLUS else _neg_arc(x)
+    return _through_reference(q, k, xs, ys)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return str(err)
+
+
+class TestIntegerTemplates:
+    """The integer templates give the very charges of the Fraction ones."""
+
+    def test_templates_match_fraction_references(self):
+        for q in affine_quivers(8):
+            for k, l in gs.valid_pairs(q):
+                for shift in (0, 10):
+                    got = linearity._spliced_charge(q, k, l, shift)
+                    assert got == _spliced_reference(q, k, l, F(shift)), (q, k, l, shift)
+                    assert all(type(v) is F for v in got.a + got.b)
+                for eps in linearity.EPS_SCHEDULE:
+                    got = _outcome(linearity._cond2_charge, q, k, l, eps)
+                    assert got == _outcome(_cond2_reference, q, k, l, eps), (q, k, l, eps)
+
+    def test_standard_charges_unchanged(self):
+        # the first of the three height scales whose charge makes every
+        # module stable, and the S(k) parabola, as make_charge built them
+        for q in finite_quivers(12):
+            n = q.n
+            for scale in (1, 2, 3):
+                ys = [0] + [s * (n - s) * (scale if q.sign(s) == gs.PLUS else -1)
+                            for s in range(1, n)] + [0]
+                Z = _through_reference(q, 0, range(n + 1), ys)
+                if gs.stable_set(Z) == frozenset(gs.candidate_modules(q)):
+                    break
+            assert gs.reineke_charge(q) == Z, q
+        for q in cycle_quivers(12):
+            n = q.n
+            for k in range(1, n + 1):
+                ys = [-((2 * k + n - 2 * j) ** 2) for j in range(k + n + 1)]
+                assert gs.dn_charge(q, k) == _through_reference(q, k, range(k + n + 1), ys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_member_sweep_matches_chord(data):
+    # denominators <= 4 make ties and strictly semistable modules common;
+    # the sweep takes any sorted subset of the candidates
+    spec = data.draw(st.sampled_from(
+        ["A:", "A:-", "A:-+", "A:+-+-", "A:--++-", "At:+-", "At:++-", "At:-++--",
+         "At:+-+--+", "Dcyc:4", "Dcyc:6"]
+    ))
+    q = gs.parse_quiver(spec)
+    rat = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    pos = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
+    Z = gs.CentralCharge(
+        q, data.draw(st.tuples(*[rat] * q.n)), data.draw(st.tuples(*[pos] * q.n))
+    )
+    pairs = list(candidate_pairs(q))
+    unstable = [(i, j) for i, j in pairs if not _chord(Z, i, j, _slope_pair(Z, i, j)) > 0]
+    assert linearity._unstable_members(Z, pairs) == unstable
+    some = sorted(data.draw(st.sets(st.sampled_from(pairs))))
+    assert linearity._unstable_members(Z, some) == [p for p in some if p in unstable]
+

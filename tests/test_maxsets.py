@@ -1,9 +1,11 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 import greenseq as gs
 from conftest import affine_quivers
+from greenseq import maxsets
 
 
 def pairs(mods):
@@ -45,6 +47,15 @@ class TestBuildSkl:
         with pytest.raises(gs.InvalidQuiver):
             gs.build_Skl(gs.cycle_quiver(4), 1, 2)
 
+    @pytest.mark.parametrize("bad", [1.0, "1", None, Fraction(1), True])
+    def test_rejects_non_integer_ends(self, bad):
+        # the StringModule rule: only a plain int is an index
+        q = gs.affine_a("+++---")
+        for name, k, l in (("k", bad, 4), ("l", 1, bad)):
+            for fn in (maxsets.check_pair, gs.build_Skl):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    fn(q, k, l)
+
 
 class TestBuildSk:
     def test_q5_size(self):
@@ -57,6 +68,11 @@ class TestBuildSk:
 
     def test_q4_size(self):
         assert len(gs.build_Sk(gs.cycle_quiver(4), 3)) == comb(4, 2) + 3
+
+    @pytest.mark.parametrize("bad", [2.0, "2", None, Fraction(2), True])
+    def test_rejects_non_integer_k(self, bad):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            gs.build_Sk(gs.cycle_quiver(5), bad)
 
     def test_pairwise_distinct(self):
         for n in (4, 5, 6, 7):
