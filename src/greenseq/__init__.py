@@ -92,4 +92,7 @@ from .stability import (
     stable_set,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# the imports above also bind the submodules here; they are not public names
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

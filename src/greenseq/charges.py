@@ -138,14 +138,6 @@ class CentralCharge:
     def y(self, t: int) -> Fraction:
         return Fraction(self._cum(t)[0], self._ctx.la)
 
-    def dual_vertex(self, t: int) -> tuple[Fraction, Fraction]:
-        """Chord-view point p_t = (x_t, y_t)."""
-        return (self.x(t), self.y(t))
-
-    def wire_value(self, i: int, t: Fraction) -> Fraction:
-        """Wire-view value f_i(t) = y_i - t * x_i."""
-        return self.y(i) - t * self.x(i)
-
     def crossing_slope(self, i: int, j: int) -> Fraction:
         """Abscissa of the crossing of wires i and j (= slope of chord p_i p_j)."""
         (yi, xi), (yj, xj) = self._cum(i), self._cum(j)
@@ -155,10 +147,6 @@ class CentralCharge:
     @property
     def is_standard(self) -> bool:
         return all(v == 1 for v in self.b)
-
-    @property
-    def is_normalized(self) -> bool:
-        return self._ctx.ya[self.quiver.n] == 0
 
     def to_json(self) -> dict:
         def enc(v: Fraction):

@@ -47,9 +47,6 @@ class ProjectionMap:
         q, r = divmod(i - 1, self.source.n)
         return self._table[r] + q * self.target.n
 
-    def hits(self, i: int) -> bool:
-        return ((i - 1) % self.source.n) + 1 in self.arrows
-
     def to_json(self) -> dict:
         return {
             "collapse": list(self.arrows),

@@ -11,8 +11,9 @@ The constructors share one path: integer vertex coordinates over one
 x-scale and one y-scale, one polygon-to-charge step (:func:`_through`)
 and one certifier (:func:`_certify`), which compares the stable (i, j)
 pairs with the target's, then checks every member in one O(n^2) sweep
-per charge that does not read the charge's integer context.  None
-returns an unverified charge.
+per charge that does not read the charge's integer context.  Each
+builds one template and certifies it once; none returns an unverified
+charge.
 """
 
 from __future__ import annotations
@@ -22,13 +23,10 @@ from fractions import Fraction
 from math import lcm
 
 from .charges import CentralCharge
-from .errors import InfiniteStableSet, InvalidQuiver, VerificationFailed, WitnessSearchFailed
+from .errors import InvalidQuiver, VerificationFailed, WitnessSearchFailed
 from .maxsets import _sk_pairs, _skl_pairs, check_pair, valid_pairs
 from .quivers import MINUS, PLUS, Quiver, QuiverKind, StringModule, affine_a
 from .stability import SplicedPath, _pieces, candidate_pairs
-
-#: retry schedule for the height-gap parameter of the linear template
-EPS_SCHEDULE = (Fraction(1, 5), Fraction(1, 10), Fraction(1, 20), Fraction(1, 40))
 
 
 @dataclass(frozen=True)
@@ -154,25 +152,20 @@ def _unstable_members(Z: CentralCharge, pairs: list[tuple[int, int]]) -> list[tu
 def reineke_charge(q: Quiver) -> CentralCharge:
     """Standard charge making every A_n module stable.
 
-    Vertex heights sit on the parabola s(n-s), positives above the axis
-    and negatives below, which keeps the vertex polygon strictly convex.
-    Accidental three-in-a-line coincidences across the two branches are
-    broken by rescaling the positive heights.
+    p_s = (s, +-s(n-s)), + at a positive s: positives lie on the strictly
+    concave arc f(s) = s(n-s), negatives on the convex arc -f <= f, and
+    p_0, p_n on both.  Moving the ends of a chord p_i p_j up onto f gives
+    the chord of f over [i, j], which strict concavity puts strictly
+    below every positive between; negatives likewise lie strictly below
+    every chord over them, so every module is stable.
     """
     if q.kind is not QuiverKind.FINITE_A:
         raise InvalidQuiver("the all-stable construction applies to A_n")
-    n, want = q.n, set(candidate_pairs(q))
-    last_err: VerificationFailed | None = None
-    for scale in (1, 2, 3):
-        heights = [s * (n - s) * (scale if q.sign(s) == PLUS else -1) for s in range(1, n)]
-        Z = _through(q, 0, range(n + 1), [0] + heights + [0])
-        try:
-            _certify(Z, want, VerificationFailed, "all-stable charge")
-            return Z
-        except VerificationFailed as err:
-            last_err = err
-    raise VerificationFailed(f"no all-stable charge found for {q.label()}: {last_err}",
-                             missing=last_err.missing, extra=last_err.extra)
+    n = q.n
+    heights = [s * (n - s) * q.sign(s) for s in range(1, n)]
+    Z = _through(q, 0, range(n + 1), [0] + heights + [0])
+    _certify(Z, set(candidate_pairs(q)), VerificationFailed, "all-stable charge")
+    return Z
 
 
 def dn_charge(q: Quiver, k: int) -> CentralCharge:
@@ -204,18 +197,39 @@ def dn_charge(q: Quiver, k: int) -> CentralCharge:
 # passes its zero height before reaching l (resp. after passing k), so
 # p_l stays below and p_k above every chord that has to clear them.
 # Coordinates are integers over sx (pack steps 1/(n2+1), 1/n3) and sy
-# (arcs eta*(x + 1/3)^2, eta*(x + 7/3)^2, eta = eps/(10^4 (period + 3)^2)).
+# (arcs eta*(x + 1/3)^2, eta*(x + 7/3)^2, eta = eps/(10^4 (P + 3)^2)).
 
 
-def _cond2_charge(q: Quiver, k: int, l: int, eps: Fraction) -> CentralCharge:
+def _cond2_charge(q: Quiver, k: int, l: int, eps: Fraction | None = None) -> CentralCharge:
+    """The Cond2 template for S(k, l), with the height gap eps = 1/P
+    unless one is given; P = 4m + n2 + 10 is the period in x-steps, with
+    m = l-k-1 and n2 the number of positives of (l, k+n).
+
+    Why 1/P works at every size: p_l is a negative, so every member chord
+    over p_l or a translate must pass above it, and two kinds do (the
+    arcs stay within delta = eps/10^4 of +-2):
+    * over p_{l-n} = (2m+3-P, eps), the chords from p_{j-n}, j a positive
+      of (k, l) (x_j >= 3, height >= 2 - delta), to an end i in B (x_i > -2,
+      height >= -2).  They reach x_{l-n} at the fraction
+      r = (2m+3 - x_j)/(P + x_i - x_j) < 2m/(P - 5) of their run, so at a
+      height above 2 - 4r - delta > (2 n2 + 10)/(P - 5) - delta > 10/P;
+    * over p_l, the chords from a vertex left of l (x <= 2m+1, height
+      >= -2) to a positive within 1 right of it (height >= 2 - delta),
+      past 2/3 of their run at x_l, so above 2/3 - delta > 1/P.
+    A gap that does not shrink with P fails on large quivers: with n2 = 0
+    the first bound is nearly attained.  From below, the template needs
+    only eps > 0 = y_k, which makes (k, l) the essential pair.
+    """
     n = q.n
     rest = [q.sign(t) for t in range(l + 1, k + n)]
     m, n2, n3 = l - k - 1, rest.count(PLUS), rest.count(MINUS)
     if PLUS in rest[n2:]:
         raise ValueError("template needs the positives of (l, k+n) first")
+    steps = 4 * m + n2 + 10
+    eps = eps or Fraction(1, steps)
     sx = (n2 + 1) * (n3 or 1)
-    period = (4 * m + n2 + 10) * sx
-    sy = eps.denominator * 90_000 * (4 * m + n2 + 13) ** 2 * sx * sx
+    period = steps * sx
+    sy = eps.denominator * 90_000 * (steps + 3) ** 2 * sx * sx
     xs = [0] + [(2 * s + 1) * sx for s in range(1, m + 2)]  # indexed t - k; l: 2m + 3
     xs += [xs[-1] + idx * (n3 or 1) for idx in range(1, n2 + 1)]
     xs += [period - 2 * sx + idx * (n2 + 1) for idx in range(1, n3 + 1)] + [period]
@@ -251,28 +265,19 @@ def witness_linear(q: Quiver, k: int, l: int) -> CentralCharge:
 
     Requires a linear pair.  Cond2 instances use the template directly;
     Cond1-only instances are solved on the mirrored quiver (the flip
-    swaps the two conditions) and pulled back.
+    swaps the two conditions) and pulled back.  One template is built
+    and certified; a failed certificate raises
+    :class:`WitnessSearchFailed`.
     """
     if not is_linear_set(q, k, l).linear:
         raise ValueError(f"S({k},{l}) on {q.label()} is nonlinear; use a spliced witness")
     want = _skl_pairs(q, k, l)[2]
-    use_mirror = _inversion(q, l, k + q.n, MINUS) is not None
-    if use_mirror:
-        qm, km, lm = _mirror(q, k, l)
-    last_err: Exception | None = None
-    for eps in EPS_SCHEDULE:
-        if use_mirror:
-            Z = _unmirror_charge(q, _cond2_charge(qm, km, lm, eps))
-        else:
-            Z = _cond2_charge(q, k, l, eps)
-        try:
-            _certify(Z, want, VerificationFailed, f"S({k},{l}) witness")
-            return Z
-        except (VerificationFailed, InfiniteStableSet) as err:
-            last_err = err
-    raise WitnessSearchFailed(
-        f"linear witness for S({k},{l}) on {q.label()} failed at every eps: {last_err}",
-        missing=getattr(last_err, "missing", ()), extra=getattr(last_err, "extra", ()))
+    if _inversion(q, l, k + q.n, MINUS) is None:
+        Z = _cond2_charge(q, k, l)
+    else:
+        Z = _unmirror_charge(q, _cond2_charge(*_mirror(q, k, l)))
+    _certify(Z, want, WitnessSearchFailed, f"linear witness for S({k},{l}) on {q.label()}")
+    return Z
 
 
 # -- spliced witnesses -------------------------------------------------------

@@ -95,11 +95,17 @@ class Quiver:
             return self.signs[i - 1]
         return self.signs[(i - 1) % self.n]
 
+    @cached_property
+    def _by_sign(self) -> dict[int, tuple[int, ...]]:
+        """The positions 1..n of each sign, listed once per quiver."""
+        signs = [self.sign(t) for t in range(1, self.n + 1)]
+        return {s: tuple([t for t, v in enumerate(signs, 1) if v == s]) for s in (PLUS, MINUS)}
+
     def positives(self) -> tuple[int, ...]:
-        return tuple([t for t in range(1, self.n + 1) if self.sign(t) == PLUS])
+        return self._by_sign[PLUS]
 
     def negatives(self) -> tuple[int, ...]:
-        return tuple([t for t in range(1, self.n + 1) if self.sign(t) == MINUS])
+        return self._by_sign[MINUS]
 
     def sign_word(self) -> str:
         return "".join(_SIGN_NAMES[s] for s in self.signs)
@@ -219,10 +225,6 @@ class StringModule:
     @property
     def length(self) -> int:
         return self.j - self.i
-
-    @property
-    def is_simple(self) -> bool:
-        return self.length == 1
 
     @property
     def is_exceptional(self) -> bool:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,9 @@ import greenseq as gs
 from conftest import affine_quivers, affine_words, cycle_quivers, finite_quivers
 from greenseq import linearity
 from greenseq.stability import _chord, _slope_pair, candidate_pairs, modules_sorted
+
+W128 = ("++--+-+---+-++++-++---++--+-+-+-+++-+-+++---+--++---+-++++-++----+++--+-+++-++++++-"
+        "++--++++---+-++-+-++-+--+-+-++++++++++--+++-+")
 
 
 class TestVerdicts:
@@ -157,6 +161,28 @@ class TestWitnessLinear:
         with pytest.raises(ValueError):
             gs.witness_linear(gs.affine_a("+++---"), 2, 5)
 
+    def test_large_cond1_pair(self):
+        # n = 128, a = 75, b = 53: a mirrored template whose member
+        # M(3,129) spans almost a period; a height gap that does not
+        # shrink with the template's period leaves it unstable
+        q = gs.affine_a(W128)
+        assert gs.is_linear_set(q, 2, 4).satisfied_condition == "Cond1"
+        got = gs.stable_set(gs.witness_linear(q, 2, 4))
+        assert gs.StringModule(q, 3, 129) in got
+        assert got == gs.build_Skl(q, 2, 4).modules
+
+    @pytest.mark.parametrize("n,count", [(64, 6), (128, 3)])
+    def test_random_large_pairs(self, n, count):
+        rng = random.Random(n)
+        done = 0
+        while done < count:
+            q = gs.affine_a("".join(rng.choice("+-") for _ in range(n)))
+            linear = [(k, l) for k, l, v in gs.linear_pairs(q) if v.linear]
+            if linear:
+                k, l = rng.choice(linear)
+                assert gs.stable_set(gs.witness_linear(q, k, l)) == gs.build_Skl(q, k, l).modules
+                done += 1
+
 
 class TestWitnessSpliced:
     def test_nonlinear_set_realized(self):
@@ -223,14 +249,15 @@ class TestCertifier:
         assert payload["missing"] == [{"i": m.i, "j": m.j} for m in err.value.missing]
         assert payload["extra"] == [{"i": m.i, "j": m.j} for m in err.value.extra]
 
-    def test_linear_search_carries_the_last_mismatch(self, monkeypatch):
-        # every eps certifies against a target with one pair too many
+    def test_linear_mismatch_carries_modules(self, monkeypatch):
+        # the one linear template certifies against a target with one
+        # pair too many
         q = gs.affine_a("+++---")
         A, B, real = gs.maxsets._skl_pairs(q, 1, 4)
         intruder = next(m for m in gs.candidate_modules(q) if (m.i, m.j) not in real)
         monkeypatch.setattr(linearity, "_skl_pairs", lambda q, k, l: (
             A, B, real | {(intruder.i, intruder.j)}))
-        with pytest.raises(gs.WitnessSearchFailed, match="failed at every eps") as err:
+        with pytest.raises(gs.WitnessSearchFailed, match="stable set mismatch") as err:
             gs.witness_linear(q, 1, 4)
         assert (err.value.missing, err.value.extra) == ((intruder,), ())
 
@@ -262,6 +289,9 @@ class TestCertifier:
         q = gs.affine_a("+++---")
         with pytest.raises(gs.WitnessSearchFailed, match="criteria disagree"):
             gs.witness_spliced(q, 2, 5)
+        for k, l in ((1, 4), (2, 4)):  # direct and mirrored linear template
+            with pytest.raises(gs.WitnessSearchFailed, match="criteria disagree"):
+                gs.witness_linear(q, k, l)
         with pytest.raises(gs.VerificationFailed, match="criteria disagree"):
             gs.reineke_charge(gs.finite_a("-+-+"))
 
@@ -282,14 +312,11 @@ class TestCertifier:
         with pytest.raises(gs.VerificationFailed, match=r"criteria disagree on M\(4,7\)"):
             linearity._certify(bad, got, gs.VerificationFailed, "probe")
 
-    def test_linear_search_exhausted(self, monkeypatch):
-        monkeypatch.setattr(linearity, "_unstable_members", lambda Z, pairs: pairs)
-        with pytest.raises(gs.WitnessSearchFailed, match="failed at every eps"):
-            gs.witness_linear(gs.affine_a("+++---"), 1, 4)
-
-    def test_linear_search_exhausted_on_infinite_charges(self, monkeypatch):
+    def test_linear_infinite_template_is_refused(self, monkeypatch):
+        # a template with no essential pair is refused by the
+        # classification, as a library error, after one build
         q = gs.affine_a("+-")
-        infinite = gs.make_charge(q, [1, 0], [1, 1])  # no essential pair
+        infinite = gs.make_charge(q, [1, 0], [1, 1])
         calls = []
 
         def template(*args):
@@ -297,9 +324,31 @@ class TestCertifier:
             return infinite
 
         monkeypatch.setattr(linearity, "_cond2_charge", template)
-        with pytest.raises(gs.WitnessSearchFailed, match="no essential pair"):
+        with pytest.raises(gs.InfiniteStableSet, match="no essential pair"):
             gs.witness_linear(q, 1, 2)
-        assert len(calls) == len(linearity.EPS_SCHEDULE)
+        assert len(calls) == 1
+
+    def test_one_build_one_certificate(self, monkeypatch):
+        # every template goes through _through once
+        calls = []
+
+        def counted(name):
+            fn = getattr(linearity, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(linearity, name, wrapper)
+
+        counted("_through")
+        counted("_certify")
+        cases = [(gs.witness_linear, (gs.affine_a("+++---"), k, l)) for k, l in ((1, 4), (2, 4))]
+        cases += [(gs.reineke_charge, (gs.finite_a(w),)) for w in ("", "-+", "+-+-++-")]
+        for fn, args in cases:
+            calls.clear()
+            fn(*args)
+            assert sorted(calls) == ["_certify", "_through"], (fn.__name__, args)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +374,8 @@ def _cond2_reference(q, k, l, eps):
         raise ValueError("template needs the positives of (l, k+n) first")
     m, n2, n3 = len(g1), len(g2), len(g3)
     period = F(4 * m + n2 + 10)
+    if eps is None:
+        eps = 1 / period
     xs = {k: F(0), l: F(2 * m + 3), k + n: period}
     for idx, t in enumerate(g1, start=1):
         xs[t] = F(2 * idx + 1)
@@ -387,22 +438,20 @@ class TestIntegerTemplates:
                     got = linearity._spliced_charge(q, k, l, shift)
                     assert got == _spliced_reference(q, k, l, F(shift)), (q, k, l, shift)
                     assert all(type(v) is F for v in got.a + got.b)
-                for eps in linearity.EPS_SCHEDULE:
+                # the default gap 1/P, then given ones
+                got = _outcome(linearity._cond2_charge, q, k, l)
+                assert got == _outcome(_cond2_reference, q, k, l, None), (q, k, l)
+                for eps in (F(1, 5), F(2, 27), F(1, 40)):
                     got = _outcome(linearity._cond2_charge, q, k, l, eps)
                     assert got == _outcome(_cond2_reference, q, k, l, eps), (q, k, l, eps)
 
     def test_standard_charges_unchanged(self):
-        # the first of the three height scales whose charge makes every
-        # module stable, and the S(k) parabola, as make_charge built them
+        # the +-s(n-s) heights and the S(k) parabola, as make_charge
+        # built them
         for q in finite_quivers(12):
             n = q.n
-            for scale in (1, 2, 3):
-                ys = [0] + [s * (n - s) * (scale if q.sign(s) == gs.PLUS else -1)
-                            for s in range(1, n)] + [0]
-                Z = _through_reference(q, 0, range(n + 1), ys)
-                if gs.stable_set(Z) == frozenset(gs.candidate_modules(q)):
-                    break
-            assert gs.reineke_charge(q) == Z, q
+            ys = [0] + [s * (n - s) * q.sign(s) for s in range(1, n)] + [0]
+            assert gs.reineke_charge(q) == _through_reference(q, 0, range(n + 1), ys), q
         for q in cycle_quivers(12):
             n = q.n
             for k in range(1, n + 1):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import ModuleType
 
 import pytest
 from hypothesis import given, settings
@@ -287,3 +288,10 @@ def test_every_built_module_is_answered(q, i, j):
     assert sum(m.dim_vector()) == m.length
     assert m in gs.indecomposable_submodules(q, m)
     assert m in gs.indecomposable_quotients(q, m)
+
+
+def test_all_lists_no_submodule():
+    # importing the package binds its submodules (charges, ..., stability)
+    # as attributes; they are not public names
+    assert [name for name in gs.__all__ if isinstance(getattr(gs, name), ModuleType)] == []
+    assert {"Quiver", "StringModule", "witness_linear", "stable_set"} <= set(gs.__all__)

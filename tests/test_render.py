@@ -65,7 +65,7 @@ def ref_chord_svg(target, window=None):
     ts = range(min(i for i, _ in pairs), max(j for _, j in pairs) + 1)
     panels = []
     for Z, _ in parts:
-        pts = [Z.dual_vertex(t) for t in ts]
+        pts = [(Z.x(t), Z.y(t)) for t in ts]
         if panels:
             prev = [x for x, _ in panels[-1]]
             dx = max(prev) + (max(prev) - min(prev)) / 10 - min(x for x, _ in pts)
@@ -111,7 +111,7 @@ def ref_wire_svg(target, window=None):
     breaks = sorted({t_lo, t_hi} | kink)
     charges = [parts[-1][0] if t > 0 else parts[0][0] for t in breaks]
     idx_hi = max([q.n] + [m.j for m, _, _ in members])
-    wires = [[(t, Z.wire_value(i, t)) for t, Z in zip(breaks, charges)]
+    wires = [[(t, Z.y(i) - t * Z.x(i)) for t, Z in zip(breaks, charges)]
              for i in range(idx_hi + 1)]
     to_view = _ref_viewport([p for wire in wires for p in wire])
     body = []
@@ -126,7 +126,7 @@ def ref_wire_svg(target, window=None):
     for m, Z, s in members:
         if not t_lo <= s <= t_hi:
             continue
-        vx, vy = to_view(s, Z.wire_value(m.i, s))
+        vx, vy = to_view(s, Z.y(m.i) - s * Z.x(m.i))
         label = f"{m.i}{m.j}" if m.i < 10 and m.j < 10 else f"{m.i},{m.j}"
         body.append(f'<circle class="stable-crossing" data-module="{m.i},{m.j}" '
                     f'cx="{vx}" cy="{vy}" r="4" fill="#000000"/>')
