@@ -289,11 +289,17 @@ class TestCertifier:
         q = gs.affine_a("+++---")
         with pytest.raises(gs.WitnessSearchFailed, match="criteria disagree"):
             gs.witness_spliced(q, 2, 5)
-        for k, l in ((1, 4), (2, 4)):  # direct and mirrored linear template
-            with pytest.raises(gs.WitnessSearchFailed, match="criteria disagree"):
-                gs.witness_linear(q, k, l)
         with pytest.raises(gs.VerificationFailed, match="criteria disagree"):
             gs.reineke_charge(gs.finite_a("-+-+"))
+
+    def test_linear_search_exhausted(self, monkeypatch):
+        # the one build of the linear template, direct and mirrored, has no
+        # second try: a certifier disagreement is the constructor's failure
+        monkeypatch.setattr(linearity, "_unstable_members", lambda Z, pairs: pairs)
+        q = gs.affine_a("+++---")
+        for k, l in ((1, 4), (2, 4)):
+            with pytest.raises(gs.WitnessSearchFailed, match="criteria disagree"):
+                gs.witness_linear(q, k, l)
 
     def test_corrupted_sign_table_is_caught(self):
         # the classification reads the sign table of Z._ctx, the member
