@@ -62,9 +62,7 @@ from .quivers import (
     cycle_quiver,
     finite_a,
     hom_dim,
-    indecomposable_quotients,
     indecomposable_submodules,
-    module_from_json,
     parse_quiver,
     string_module,
 )
@@ -75,7 +73,6 @@ from .stability import (
     SplicedPath,
     WallMembership,
     candidate_modules,
-    classify,
     equivalence_mismatches,
     fuzz_quiver,
     in_wall,

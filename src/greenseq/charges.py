@@ -95,6 +95,9 @@ class CentralCharge:
         n = self.quiver.n
         if len(self.a) != n or len(self.b) != n:
             raise InvalidCharge(f"charge vectors must have length {n}")
+        for v in (*self.a, *self.b):
+            if type(v) is not Fraction and type(v) is not int:
+                raise InvalidCharge(f"charge entries must be Fractions or ints, got {v!r}")
         if any(v <= 0 for v in self.b):
             raise InvalidCharge("every b_i must be positive")
 
@@ -138,16 +141,6 @@ class CentralCharge:
     def y(self, t: int) -> Fraction:
         return Fraction(self._cum(t)[0], self._ctx.la)
 
-    def crossing_slope(self, i: int, j: int) -> Fraction:
-        """Abscissa of the crossing of wires i and j (= slope of chord p_i p_j)."""
-        (yi, xi), (yj, xj) = self._cum(i), self._cum(j)
-        ctx = self._ctx
-        return Fraction((yj - yi) * ctx.lb, (xj - xi) * ctx.la)
-
-    @property
-    def is_standard(self) -> bool:
-        return all(v == 1 for v in self.b)
-
     def to_json(self) -> dict:
         def enc(v: Fraction):
             return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
@@ -175,9 +168,11 @@ def charge_from_json(q: Quiver, data: dict) -> CentralCharge:
 
 
 def slope(Z: CentralCharge, m: StringModule) -> Fraction:
-    """Slope of a module: (a . dim)/(b . dim), exact."""
+    """Slope of a module: (a . dim)/(b . dim), exact; also the slope of
+    the chord p_i p_j and the abscissa where wires i and j cross."""
     canonicalize(Z.quiver, m)
-    return Z.crossing_slope(m.i, m.j)
+    (yi, xi), (yj, xj) = Z._cum(m.i), Z._cum(m.j)
+    return Fraction((yj - yi) * Z._ctx.lb, (xj - xi) * Z._ctx.la)
 
 
 def _total_slope(Z: CentralCharge) -> Fraction:

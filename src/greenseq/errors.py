@@ -89,7 +89,7 @@ class _CertificationError(GreenseqError):
 
 
 class WitnessSearchFailed(_CertificationError):
-    """No charge in the retry schedule realized the requested stable set."""
+    """A witness construction's one template missed its target stable set."""
 
     code = "witness-search-failed"
 

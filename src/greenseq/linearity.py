@@ -198,12 +198,15 @@ def dn_charge(q: Quiver, k: int) -> CentralCharge:
 # p_l stays below and p_k above every chord that has to clear them.
 # Coordinates are integers over sx (pack steps 1/(n2+1), 1/n3) and sy
 # (arcs eta*(x + 1/3)^2, eta*(x + 7/3)^2, eta = eps/(10^4 (P + 3)^2)).
+# With eps = 1/P and sy = 90000 P (P + 3)^2 sx^2, the arc term at the
+# integer coordinate x is eta*(x/sx + 1/3)^2 = (3x + sx)^2 / sy, and
+# y_l = eps is (sy / P) / sy.
 
 
-def _cond2_charge(q: Quiver, k: int, l: int, eps: Fraction | None = None) -> CentralCharge:
-    """The Cond2 template for S(k, l), with the height gap eps = 1/P
-    unless one is given; P = 4m + n2 + 10 is the period in x-steps, with
-    m = l-k-1 and n2 the number of positives of (l, k+n).
+def _cond2_charge(q: Quiver, k: int, l: int) -> CentralCharge:
+    """The Cond2 template for S(k, l), with the height gap eps = 1/P;
+    P = 4m + n2 + 10 is the period in x-steps, with m = l-k-1 and n2 the
+    number of positives of (l, k+n).
 
     Why 1/P works at every size: p_l is a negative, so every member chord
     over p_l or a translate must pass above it, and two kinds do (the
@@ -226,10 +229,9 @@ def _cond2_charge(q: Quiver, k: int, l: int, eps: Fraction | None = None) -> Cen
     if PLUS in rest[n2:]:
         raise ValueError("template needs the positives of (l, k+n) first")
     steps = 4 * m + n2 + 10
-    eps = eps or Fraction(1, steps)
     sx = (n2 + 1) * (n3 or 1)
     period = steps * sx
-    sy = eps.denominator * 90_000 * (steps + 3) ** 2 * sx * sx
+    sy = steps * 90_000 * (steps + 3) ** 2 * sx * sx
     xs = [0] + [(2 * s + 1) * sx for s in range(1, m + 2)]  # indexed t - k; l: 2m + 3
     xs += [xs[-1] + idx * (n3 or 1) for idx in range(1, n2 + 1)]
     xs += [period - 2 * sx + idx * (n2 + 1) for idx in range(1, n3 + 1)] + [period]
@@ -237,12 +239,12 @@ def _cond2_charge(q: Quiver, k: int, l: int, eps: Fraction | None = None) -> Cen
     for t in range(k + 1, k + n):
         x = xs[t - k]
         if t == l:
-            ys[t - k] = sy // eps.denominator * eps.numerator
+            ys[t - k] = sy // steps
         elif q.sign(t) == PLUS:
-            ys[t - k] = 2 * sy - eps.numerator * (3 * x + sx) ** 2
+            ys[t - k] = 2 * sy - (3 * x + sx) ** 2
         else:
             rep = x if t < l else x - period  # arc parameter in [-2, 2m+1]
-            ys[t - k] = -2 * sy + eps.numerator * (3 * rep + 7 * sx) ** 2
+            ys[t - k] = -2 * sy + (3 * rep + 7 * sx) ** 2
     return _through(q, k, xs, ys, sx, sy)
 
 

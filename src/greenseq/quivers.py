@@ -124,17 +124,6 @@ class Quiver:
             out["signs"] = self.sign_word()
         return out
 
-    @staticmethod
-    def from_json(data: dict) -> "Quiver":
-        kind = data.get("kind")
-        if kind == "Dcyc":
-            return cycle_quiver(int(data["n"]))
-        if kind == "A":
-            return finite_a(data.get("signs", ""))
-        if kind == "At":
-            return affine_a(data["signs"])
-        raise InvalidQuiver(f"unknown quiver kind {kind!r}")
-
 
 def _parse_word(word: str) -> tuple[int, ...]:
     try:
@@ -160,8 +149,6 @@ MAX_CYCLE_SIZE = 1_000_000
 
 
 def cycle_quiver(n: int) -> Quiver:
-    if n < 4:
-        raise InvalidQuiver("oriented cycle needs n >= 4")
     if n > MAX_CYCLE_SIZE:
         raise InvalidQuiver(f"oriented cycle size {n} exceeds the cap of {MAX_CYCLE_SIZE}")
     return Quiver(QuiverKind.CYCLE, (PLUS,) * n)
@@ -272,23 +259,6 @@ def string_module(q: Quiver, i: int, j: int) -> StringModule:
     return m
 
 
-def module_from_json(q: Quiver, data: dict) -> StringModule:
-    return string_module(q, int(data["i"]), int(data["j"]))
-
-
-def sub_endpoints(q: Quiver, i: int, j: int) -> tuple[list[int], list[int]]:
-    """Interval endpoints of the submodule substrings of M(i, j)."""
-    lefts = [i] + [t for t in range(i + 1, j) if q.sign(t) == MINUS]
-    rights = [j] + [t for t in range(i + 1, j) if q.sign(t) == PLUS]
-    return lefts, rights
-
-
-def quot_endpoints(q: Quiver, i: int, j: int) -> tuple[list[int], list[int]]:
-    lefts = [i] + [t for t in range(i + 1, j) if q.sign(t) == PLUS]
-    rights = [j] + [t for t in range(i + 1, j) if q.sign(t) == MINUS]
-    return lefts, rights
-
-
 def indecomposable_submodules(q: Quiver, m: StringModule) -> frozenset[StringModule]:
     """All indecomposable submodules of m, including m itself.
 
@@ -297,14 +267,9 @@ def indecomposable_submodules(q: Quiver, m: StringModule) -> frozenset[StringMod
     sign(i') = -, and j' = j or sign(j') = +.
     """
     canonicalize(q, m)
-    lefts, rights = sub_endpoints(q, m.i, m.j)
-    return frozenset(StringModule(q, p, r) for p, r in product(lefts, rights) if p < r)
-
-
-def indecomposable_quotients(q: Quiver, m: StringModule) -> frozenset[StringModule]:
-    """All indecomposable quotients of m (the sign-flipped enumeration)."""
-    canonicalize(q, m)
-    lefts, rights = quot_endpoints(q, m.i, m.j)
+    i, j = m.i, m.j
+    lefts = [i] + [t for t in range(i + 1, j) if q.sign(t) == MINUS]
+    rights = [j] + [t for t in range(i + 1, j) if q.sign(t) == PLUS]
     return frozenset(StringModule(q, p, r) for p, r in product(lefts, rights) if p < r)
 
 

@@ -21,9 +21,9 @@ every semistable candidate as the record ``(i, j, dy, dx, is_stable)``:
 the module's ends and its slope as the integer pair (dy, dx) of the
 charge's context, where slope = dy*lb / (dx*la) and dx > 0.  Readers sort,
 split and compare on these integers.  ``StringModule`` and ``Fraction``
-objects are built only where a caller gets them back: :func:`classify`,
-:func:`stable_set`, :func:`halves` (what the CLI and the renderers read),
-the entries of a :class:`GreenSequence` and the culprits of an error.
+objects are built only where a caller gets them back: :func:`stable_set`,
+:func:`halves` (what the CLI and the renderers read), the entries of a
+:class:`GreenSequence` and the culprits of an error.
 """
 
 from __future__ import annotations
@@ -253,19 +253,6 @@ def candidate_modules(q: Quiver) -> list[StringModule]:
     return [StringModule(q, i, j) for i, j in candidate_pairs(q)]
 
 
-def classify(Z: CentralCharge) -> tuple[tuple[StringModule, Fraction, bool], ...]:
-    """Every semistable candidate of Z as (module, slope, is_stable),
-    sorted by (i, j): the object view of the records ``Z._classes``,
-    which the charge keeps from one :func:`_sweep`.  Raises
-    :class:`InfiniteStableSet` on an affine charge that is not finite."""
-    q = Z.quiver
-    la, lb = Z._ctx.la, Z._ctx.lb
-    return tuple([
-        (StringModule(q, i, j), Fraction(dy * lb, dx * la), stable)
-        for i, j, dy, dx, stable in Z._classes
-    ])
-
-
 def _sweep(Z: CentralCharge) -> tuple[tuple[int, int, int, int, bool], ...]:
     """Every semistable candidate of Z as the record (i, j, dy, dx,
     is_stable), sorted by (i, j); (dy, dx) is the module's slope as an
@@ -316,11 +303,9 @@ def _sweep(Z: CentralCharge) -> tuple[tuple[int, int, int, int, bool], ...]:
     return tuple(out)
 
 
-def stable_set(
-    Z: CentralCharge, include_semistable: bool = False
-) -> frozenset[StringModule]:
-    """All stable modules of Z (with the flag: all semistable modules)."""
-    return _modules(_pieces(Z), include_semistable)
+def stable_set(Z: CentralCharge) -> frozenset[StringModule]:
+    """All stable modules of Z."""
+    return _modules(_pieces(Z))
 
 
 @dataclass(frozen=True)
@@ -333,12 +318,6 @@ class GreenSequence:
         slopes = [s for _, s in self.entries]
         if any(s1 >= s2 for s1, s2 in zip(slopes, slopes[1:])):
             raise ValueError("green sequence slopes must strictly increase")
-
-    def modules(self) -> tuple[StringModule, ...]:
-        return tuple([m for m, _ in self.entries])
-
-    def slopes(self) -> tuple[Fraction, ...]:
-        return tuple([s for _, s in self.entries])
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -405,6 +384,9 @@ class SplicedPath:
     z_prime: CentralCharge
 
     def __post_init__(self):
+        if not (isinstance(self.z, CentralCharge) and isinstance(self.z_prime, CentralCharge)):
+            got = f"{type(self.z).__name__} and {type(self.z_prime).__name__}"
+            raise SpliceInvalid(f"a spliced path joins two central charges, got {got}")
         if self.z.quiver != self.z_prime.quiver:
             raise SpliceInvalid("spliced charges must live on the same quiver")
         if self.z.a != self.z_prime.a:
@@ -428,13 +410,13 @@ def _pieces(target) -> tuple:
     return ((target, target._classes),)
 
 
-def _modules(pieces, include_semistable: bool) -> frozenset[StringModule]:
-    """The stable (with the flag: semistable) modules of ``_pieces``."""
+def _modules(pieces) -> frozenset[StringModule]:
+    """The stable modules of ``_pieces``."""
     return frozenset([
         StringModule(Z.quiver, i, j)
         for Z, records in pieces
         for i, j, _, _, stable in records
-        if stable or include_semistable
+        if stable
     ])
 
 
@@ -459,12 +441,10 @@ def halves(
     return out
 
 
-def spliced_stable_set(
-    p: SplicedPath, include_semistable: bool = False
-) -> frozenset[StringModule]:
+def spliced_stable_set(p: SplicedPath) -> frozenset[StringModule]:
     """Union of the negative-slope part of z and the positive-slope part
     of z_prime."""
-    return _modules(_pieces(p), include_semistable)
+    return _modules(_pieces(p))
 
 
 def spliced_mgs(p: SplicedPath) -> GreenSequence:

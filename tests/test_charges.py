@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +26,7 @@ class TestMakeCharge:
         q = gs.finite_a("-+")
         Z = gs.make_charge(q, ["1/2", "3/2", -2], [1, 1, 1])
         assert Z.a == (F(1, 2), F(3, 2), F(-2))
-        assert Z.is_standard
+        assert Z.b == (1, 1, 1)
 
     def test_rejects_nonpositive_b(self):
         q = gs.finite_a("-+")
@@ -47,6 +48,14 @@ class TestMakeCharge:
     def test_rejects_non_rationals(self, value):
         with pytest.raises(gs.InvalidCharge):
             gs.make_charge(KRON, [value, 1], [1, 1])
+
+    @pytest.mark.parametrize("value", [0.5, "1", None, True])
+    def test_constructor_refuses_non_rationals(self, value):
+        # the constructor takes Fractions and ints only; make_charge parses
+        q = gs.finite_a("-+")
+        for a, b in (((value, 1, 1), (1, 1, 1)), ((1, 1, 1), (value, 1, 1))):
+            with pytest.raises(gs.InvalidCharge, match=re.escape(repr(value))):
+                gs.CentralCharge(q, a, b)
 
     @pytest.mark.parametrize(
         "data", [[1, 2], {"a": [1, 2]}, {"b": [1, 1]}, {"a": "12", "b": [1, 1]}, None]
@@ -187,12 +196,11 @@ def test_chord_wire_crossing_consistency(data):
     j = i + d
     if q.sign(i) == q.sign(j) and d >= q.n:
         return
-    t = Z.crossing_slope(i, j)
-    # the crossing slope solves f_i = f_j and equals the chord slope
+    t = gs.slope(Z, gs.string_module(q, i, j))
+    # the slope of M(i, j) solves f_i = f_j and equals the chord slope
     (x1, y1), (x2, y2) = (Z.x(i), Z.y(i)), (Z.x(j), Z.y(j))
     assert y1 - t * x1 == y2 - t * x2
     assert (y2 - y1) == t * (x2 - x1)
-    assert gs.slope(Z, gs.string_module(q, i, j)) == t
 
 
 @settings(max_examples=40, deadline=None)

@@ -59,7 +59,7 @@ class TestBasics:
         )
         assert code == 0
         q = gs.finite_a("-+")
-        mods = {gs.module_from_json(q, m) for m in json.loads(out)["modules"]}
+        mods = {gs.string_module(q, m["i"], m["j"]) for m in json.loads(out)["modules"]}
         assert mods == gs.stable_set(gs.charge_from_json(q, json.loads(FIG1_CHARGE)))
 
     def test_nongeneric_mgs_error(self, capsys):
@@ -505,10 +505,22 @@ class TestVerify:
         assert parallel == serial
 
 
+def _readme_block(section: str, lang: str) -> str:
+    """The first ``lang`` code block after the README heading ``section``."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"## {section}\n", 1)[1].split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_tour_runs(capsys):
+    """The README's Python quick tour runs as written, so it names no
+    deleted function."""
+    exec(compile(_readme_block("Library quick tour", "python"), "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "24"
+
+
 def test_readme_cli_block_runs(capsys, tmp_path, monkeypatch):
     """Every ``greenseq ...`` line of the README's CLI section exits 0."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    block = _readme_block("CLI", "sh")
     lines = [line for line in block.splitlines() if line.startswith("greenseq ")]
     assert len(lines) >= 11
     monkeypatch.chdir(tmp_path)  # one line writes a file

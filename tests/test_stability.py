@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import greenseq as gs
 from greenseq import stability
-from greenseq.stability import _oracle, _slope_pair, candidate_pairs, equivalence_mismatches
+from greenseq.stability import _oracle, _slope_pair, candidate_pairs, equivalence_mismatches, halves
 
 A3 = gs.finite_a("-+")
 FIG1 = gs.make_charge(A3, ["1/2", "3/2", -2], [1, 1, 1])
@@ -195,7 +195,7 @@ class TestMgs:
     def test_figure1_order(self):
         seq = gs.mgs(FIG1)
         assert [(m.i, m.j) for m, _ in seq] == [(2, 3), (1, 3), (0, 1), (0, 2), (1, 2)]
-        assert list(seq.slopes()) == [F(-2), F(-1, 4), F(1, 2), F(1), F(3, 2)]
+        assert [s for _, s in seq] == [F(-2), F(-1, 4), F(1, 2), F(1), F(3, 2)]
 
     def test_kronecker_length(self):
         assert len(gs.mgs(kron(0, 1))) == 2 == gs.max_mgs_length(KRON)
@@ -215,7 +215,7 @@ class TestMgs:
 
     def test_hom_orthogonal(self):
         seq = gs.mgs(FIG1)
-        ms = seq.modules()
+        ms = [m for m, _ in seq]
         for s in range(len(ms)):
             for t in range(s + 1, len(ms)):
                 assert gs.hom_dim(A3, ms[s], ms[t]) == 0
@@ -235,6 +235,12 @@ class TestSpliced:
         with pytest.raises(gs.SpliceInvalid):
             gs.SplicedPath(Z1, Z2)
 
+    def test_non_charge_refused(self):
+        Z = kron(0, 1)
+        for pair in ((Z, None), (None, Z), (Z, Z.a)):
+            with pytest.raises(gs.SpliceInvalid, match="two central charges"):
+                gs.SplicedPath(*pair)
+
     def test_slope_zero_semistable_rejected(self):
         # normalized so that M(0,1) has slope exactly 0; refused when built
         q = gs.affine_a("+-")
@@ -250,7 +256,7 @@ class TestSpliced:
         Zp = gs.make_charge(KRON, [-1, 1], [2, 3])
         seq = gs.spliced_mgs(gs.SplicedPath(Z, Zp))
         assert [(m.i, m.j) for m, _ in seq] == [(0, 1), (1, 2)]
-        assert list(seq.slopes()) == [F(-1), F(1, 3)]
+        assert [s for _, s in seq] == [F(-1), F(1, 3)]
 
     def test_template_path_has_parallel_chords(self):
         # the fixed two-charge template contains exact slope ties, so it
@@ -363,7 +369,7 @@ def test_spliced_include_semistable():
     stable = {(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)}
     strict = {(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4)}
     assert {(m.i, m.j) for m in gs.spliced_stable_set(p)} == stable
-    semis = gs.spliced_stable_set(p, include_semistable=True)
+    semis = [m for _, rows in halves(p, include_semistable=True) for m, _ in rows]
     assert {(m.i, m.j) for m in semis} == stable | strict
 
 
@@ -382,22 +388,21 @@ def test_classify_matches_oracle(data):
     )
     if not gs.is_finite(Z):
         with pytest.raises(gs.InfiniteStableSet):
-            gs.classify(Z)
+            Z._classes
         return
-    got = gs.classify(Z)
-    # classify is the object view of the integer records the charge keeps
+    records = Z._classes
+    assert all(type(v) is int for record in records for v in record[:4])
+    # halves is the object view of the integer records the charge keeps
+    [(_, got)] = halves(Z, include_semistable=True)
     la, lb = Z._ctx.la, Z._ctx.lb
-    assert got == tuple(
-        (gs.StringModule(q, i, j), F(dy * lb, dx * la), stable)
-        for i, j, dy, dx, stable in Z._classes
-    )
-    assert all(type(v) is int for record in Z._classes for v in record[:4])
+    assert got == [(gs.StringModule(q, i, j), F(dy * lb, dx * la)) for i, j, dy, dx, _ in records]
     mods = gs.candidate_modules(q)
-    assert [(m.i, m.j) for m, _, _ in got] == sorted((m.i, m.j) for m, _, _ in got)
-    assert {m for m, _, stable in got if stable} == {m for m in mods if gs.is_stable_oracle(Z, m)}
-    assert {m for m, _, _ in got} == {m for m in mods if gs.is_semistable_oracle(Z, m)}
-    assert all(s == gs.slope(Z, m) for m, s, _ in got)
-    assert gs.stable_set(Z, include_semistable=True) == {m for m, _, _ in got}
+    stable = {m for m in mods if gs.is_stable_oracle(Z, m)}
+    assert [(m.i, m.j) for m, _ in got] == sorted((m.i, m.j) for m, _ in got)
+    assert {(i, j) for i, j, _, _, is_stable in records if is_stable} == {(m.i, m.j) for m in stable}
+    assert gs.stable_set(Z) == stable
+    assert {m for m, _ in got} == {m for m in mods if gs.is_semistable_oracle(Z, m)}
+    assert all(s == gs.slope(Z, m) for m, s in got)
 
 
 @settings(max_examples=40, deadline=None)
@@ -458,23 +463,17 @@ def test_oracle_matches_quadratic_reference(data):
 
 def _green_reference(target):
     """The green sequence as it was built before the integer records:
-    each half's (module, Fraction) pairs from classify, sorted by
+    each half's (module, Fraction) pairs from halves, sorted by
     floor(s * 2**64), then the slope itself, then (i, j), refusing strict
     semistables and then the first adjacent pair of equal slopes."""
-    if isinstance(target, gs.SplicedPath):
-        pieces = [
-            [c for c in gs.classify(target.z) if c[1] < 0],
-            [c for c in gs.classify(target.z_prime) if c[1] > 0],
-        ]
-    else:
-        pieces = [gs.classify(target)]
     entries = []
-    for classes in pieces:
-        strict = [m for m, _, stable in classes if not stable]
+    semis = halves(target, include_semistable=True)
+    for (_, semi), (_, stable) in zip(semis, halves(target)):
+        strict = [m for m, s in semi if (m, s) not in stable]
         if strict:
             raise gs.NonGeneric("strict-semistable", strict)
         half = sorted(
-            ((m, s) for m, s, _ in classes),
+            stable,
             key=lambda e: ((e[1].numerator << 64) // e[1].denominator, e[1], e[0].i, e[0].j),
         )
         for (m1, s1), (m2, s2) in zip(half, half[1:]):
@@ -535,7 +534,7 @@ def test_green_builds_objects_only_for_its_answer(monkeypatch):
     assert built == [(m.i, m.j) for m in err.value.culprits]
     built.clear()
     seq = gs.mgs(FIG1)
-    assert built == [(m.i, m.j) for m in seq.modules()]
+    assert built == [(m.i, m.j) for m, _ in seq]
 
 
 def test_sweep_builds_no_objects(monkeypatch):
